@@ -25,7 +25,6 @@ from .glued import (
     SpaceSpec,
     canonical_embedding,
     extend_to_plane,
-    glued_arith,
     make_glued,
     random_glued,
     restrict_to_branches,
@@ -36,7 +35,6 @@ from .operators import (
     ConditionSet,
     PairedOp,
     Violation,
-    apply,
     check_admissible,
     commutator,
     compose,
@@ -57,8 +55,6 @@ from .poly import (
     degree_cap,
     frac,
     get_degree_cap,
-    jet_project,
-    poly_arith,
     set_degree_cap,
 )
 from .sampling import random_admissible_pair, random_symbol

@@ -20,15 +20,15 @@ from .glued import SpaceSpec, extend_to_plane, restrict_to_branches
 from .operators import (
     BranchOp,
     check_admissible,
-    commutator,
-    compose,
     default_probe_degree,
     generate_conditions,
     make_pair,
+    pair_commutator,
+    pair_compose,
     probe_admissible,
 )
-from .poly import Poly, poly2_str, set_degree_cap
-from .spectra import nullity_identity_check, separating_witness
+from .poly import Poly, degree_cap, get_degree_cap, poly2_str
+from .spectra import char_eval, nullity_identity_check, separating_witness
 from .symbols import pair_symbol, poisson_bracket
 
 _SPACE = re.compile(r"^K(\d+)$")
@@ -39,6 +39,13 @@ def _space_arg(value: str) -> SpaceSpec:
     if not match:
         raise argparse.ArgumentTypeError(f"space must look like K0, K1, ..., got {value!r}")
     return SpaceSpec(int(match.group(1)))
+
+
+def _cap_arg(value: str) -> int:
+    cap = int(value) if value.isdecimal() else 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"degree cap must be a positive integer, got {value!r}")
+    return cap
 
 
 def _read(path: str) -> str:
@@ -56,19 +63,26 @@ def _op_coeffs(op: BranchOp) -> list[list[str]]:
     return [_poly_coeffs(c) for c in op.coeffs]
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in text_lines:
+def _emit(args, lines, space, verdict="pass", *, result=None, order=None, report=None, probe=None):
+    """Print the text lines, or with --json the payload every verb shares:
+    verb, space, [order,] verdict, violations, then [probe] and [result]."""
+    if not args.json:
+        for line in lines:
             print(line)
-
-
-def _violations_json(report) -> list[dict]:
-    return [
-        {"constraint": v.constraint, "lhs": str(v.lhs), "rhs": str(v.rhs)}
-        for v in report.violations
+        return
+    payload = {"verb": args.verb, "space": str(space)}
+    if order is not None:
+        payload["order"] = order
+    payload["verdict"] = verdict
+    payload["violations"] = [
+        {"constraint": v.constraint, "lhs": str(v.lhs), "rhs": "0"}
+        for v in (report.violations if report else ())
     ]
+    if probe is not None:
+        payload["probe"] = probe
+    if result is not None:
+        payload["result"] = result
+    print(json.dumps(payload, indent=2))
 
 
 def _load_two(paths: list[str], parse_one, parse_many):
@@ -86,114 +100,64 @@ def _cmd_check(args) -> int:
     pair = dsl.parse_paired(_read(args.file))
     order = args.order if args.order is not None else pair.declared_order
     report = check_admissible(pair.d1, pair.d2, args.space, order)
-    payload = {
-        "verb": "check",
-        "space": str(args.space),
-        "order": order,
-        "verdict": "admissible" if report.ok else "inadmissible",
-        "violations": _violations_json(report),
-    }
+    verdict = "admissible" if report.ok else "inadmissible"
     lines = [f"space {args.space}, order {order}: "
              + ("admissible" if report.ok else "NOT admissible")]
     for v in report.violations:
-        lines.append(f"  violated: {v.constraint}   (lhs = {v.lhs}, rhs = {v.rhs})")
+        lines.append(f"  violated: {v.constraint}   (lhs = {v.lhs}, rhs = 0)")
+    probe = None
     if args.probe_depth is not None:
         depth = args.probe_depth or default_probe_degree(args.space, order)
         probed = probe_admissible(pair.d1, pair.d2, args.space, depth)
-        payload["probe"] = {"depth": depth, "verdict": "admissible" if probed else "inadmissible"}
+        probe = {"depth": depth, "verdict": "admissible" if probed else "inadmissible"}
         lines.append(f"probe (depth {depth}): " + ("admissible" if probed else "NOT admissible"))
-    _emit(args, payload, lines)
+    _emit(args, lines, args.space, verdict, order=order, report=report, probe=probe)
     return 0 if report.ok else 1
 
 
-def _combine(args, verb: str) -> int:
+def _cmd_combine(args) -> int:
     parsed = _load_two(args.files, dsl.parse_paired, dsl.parse_many_paired)
-    pairs = [make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed]
-    if verb == "compose":
-        d1 = compose(pairs[0].d1, pairs[1].d1)
-        d2 = compose(pairs[0].d2, pairs[1].d2)
-        order = pairs[0].order + pairs[1].order
-    else:
-        d1 = commutator(pairs[0].d1, pairs[1].d1)
-        d2 = commutator(pairs[0].d2, pairs[1].d2)
-        order = max(pairs[0].order + pairs[1].order - 1, 0)
-    result = make_pair(d1, d2, args.space, order)
-    text = dsl.render_paired(result)
-    payload = {
-        "verb": verb,
-        "space": str(args.space),
-        "verdict": "admissible",
-        "violations": [],
-        "result": {
-            "order": order,
-            "branch_x": _op_coeffs(d1),
-            "branch_y": _op_coeffs(d2),
-            "dsl": text,
-        },
-    }
-    _emit(args, payload, [text])
+    a, b = (make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed)
+    pair = (pair_compose if args.verb == "compose" else pair_commutator)(a, b)
+    text = dsl.render_paired(pair)
+    _emit(args, [text], pair.space, "admissible", result={
+        "order": pair.order,
+        "branch_x": _op_coeffs(pair.d1),
+        "branch_y": _op_coeffs(pair.d2),
+        "dsl": text,
+    })
+    return 0
+
+
+def _emit_symbol(args, sym) -> int:
+    text = dsl.render_symbol(sym)
+    _emit(args, [text], sym.space, result={
+        "degree": sym.degree,
+        "a": _poly_coeffs(sym.a),
+        "b": _poly_coeffs(sym.b),
+        "dsl": text,
+    })
     return 0
 
 
 def _cmd_symbol(args) -> int:
     parsed = dsl.parse_paired(_read(args.file))
     order = args.degree if args.degree is not None else parsed.declared_order
-    pair = make_pair(parsed.d1, parsed.d2, args.space, order)
-    sym = pair_symbol(pair)
-    text = dsl.render_symbol(sym)
-    payload = {
-        "verb": "symbol",
-        "space": str(args.space),
-        "verdict": "pass",
-        "violations": [],
-        "result": {
-            "degree": sym.degree,
-            "a": _poly_coeffs(sym.a),
-            "b": _poly_coeffs(sym.b),
-            "dsl": text,
-        },
-    }
-    _emit(args, payload, [text])
-    return 0
+    return _emit_symbol(args, pair_symbol(make_pair(parsed.d1, parsed.d2, args.space, order)))
 
 
 def _parse_symbols_text(text: str):
-    lines = [line for line in text.splitlines() if line.split("#", 1)[0].strip()]
-    return [dsl.parse_symbol(line) for line in lines]
+    return [dsl.parse_symbol(line, number) for number, line in dsl._numbered_lines(text)]
 
 
 def _cmd_bracket(args) -> int:
     symbols = _load_two(args.files, dsl.parse_symbol, _parse_symbols_text)
-    result = poisson_bracket(symbols[0], symbols[1])
-    text = dsl.render_symbol(result)
-    payload = {
-        "verb": "bracket",
-        "space": str(result.space),
-        "verdict": "pass",
-        "violations": [],
-        "result": {
-            "degree": result.degree,
-            "a": _poly_coeffs(result.a),
-            "b": _poly_coeffs(result.b),
-            "dsl": text,
-        },
-    }
-    _emit(args, payload, [text])
-    return 0
+    return _emit_symbol(args, poisson_bracket(symbols[0], symbols[1]))
 
 
 def _cmd_conditions(args) -> int:
-    conditions = generate_conditions(args.space, args.order)
-    rendered = list(conditions.rendered)
-    payload = {
-        "verb": "conditions",
-        "space": str(args.space),
-        "order": args.order,
-        "verdict": "pass",
-        "violations": [],
-        "result": {"constraints": rendered},
-    }
-    _emit(args, payload, rendered)
+    rendered = list(generate_conditions(args.space, args.order).rendered)
+    _emit(args, rendered, args.space, result={"constraints": rendered}, order=args.order)
     return 0
 
 
@@ -205,91 +169,54 @@ def _cmd_extend(args) -> int:
     glued = dsl.parse_glued(_read(args.file))
     surface = extend_to_plane(glued, _embed_poly(args))
     text = poly2_str(surface)
-    payload = {
-        "verb": "extend",
-        "space": str(glued.space),
-        "verdict": "pass",
-        "violations": [],
-        "result": {
-            "slices": [_poly_coeffs(s) for s in surface.slices],
-            "dsl": text,
-        },
-    }
-    _emit(args, payload, [text])
+    _emit(args, [text], glued.space, result={
+        "slices": [_poly_coeffs(s) for s in surface.slices],
+        "dsl": text,
+    })
     return 0
 
 
 def _cmd_restrict(args) -> int:
-    source = _read(args.file)
-    expr = " ".join(
-        line.split("#", 1)[0].strip() for line in source.splitlines()
-    ).strip()
-    surface = dsl.parse_poly2(expr)
+    lines = list(dsl._numbered_lines(_read(args.file)))
+    expr = " ".join(line for _, line in lines)
+    surface = dsl.parse_poly2(expr, lines[0][0] if lines else 1)
     glued = restrict_to_branches(surface, _embed_poly(args), args.space)
     text = dsl.render_glued(glued)
-    payload = {
-        "verb": "restrict",
-        "space": str(args.space),
-        "verdict": "pass",
-        "violations": [],
-        "result": {
-            "f": _poly_coeffs(glued.f),
-            "g": _poly_coeffs(glued.g),
-            "dsl": text,
-        },
-    }
-    _emit(args, payload, [text])
+    _emit(args, [text], args.space, result={
+        "f": _poly_coeffs(glued.f),
+        "g": _poly_coeffs(glued.g),
+        "dsl": text,
+    })
     return 0
 
 
 def _cmd_witness(args) -> int:
-    lines = [line for line in _read(args.file).splitlines() if line.split("#", 1)[0].strip()]
+    lines = list(dsl._numbered_lines(_read(args.file)))
     if len(lines) != 2:
         raise CurveGlueError(f"expected two character lines, found {len(lines)}")
-    c1, c2 = (dsl.parse_char(line, i + 1) for i, line in enumerate(lines))
-    bound = args.max_degree if args.max_degree is not None else args.space.m + 3
-    witness = separating_witness(c1, c2, args.space, bound)
+    c1, c2 = (dsl.parse_char(line, number) for number, line in lines)
+    # Any bound >= m + 1 finds a witness whenever the points differ.
+    witness = separating_witness(c1, c2, args.space, args.space.m + 3)
     if witness is None:
-        payload_result = {"witness": None}
-        lines_out = ["none (both characters denote the same point)"]
+        text = "none (both characters denote the same point)"
+        result = {"witness": None}
     else:
-        from .spectra import char_eval
-
         text = dsl.render_glued(witness)
-        payload_result = {
+        result = {
             "witness": text,
             "values": [str(char_eval(c1, witness)), str(char_eval(c2, witness))],
         }
-        lines_out = [text]
-    payload = {
-        "verb": "witness",
-        "space": str(args.space),
-        "verdict": "pass",
-        "violations": [],
-        "result": payload_result,
-    }
-    _emit(args, payload, lines_out)
+    _emit(args, [text], args.space, result=result)
     return 0
 
 
 def _cmd_nullity(args) -> int:
     checks = nullity_identity_check(args.space)
     all_ok = all(c.passed for c in checks)
-    payload = {
-        "verb": "nullity",
-        "space": str(args.space),
-        "verdict": "pass" if all_ok else "fail",
-        "violations": [],
-        "result": {
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-            ]
-        },
-    }
-    lines = [
-        f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in checks
-    ]
-    _emit(args, payload, lines)
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in checks]
+    _emit(args, lines, args.space, "pass" if all_ok else "fail", result={
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
+    })
     return 0 if all_ok else 1
 
 
@@ -306,10 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit structured JSON")
         p.add_argument(
             "--max-degree",
-            type=int,
+            type=_cap_arg,
             default=None,
             metavar="CAP",
-            help="polynomial degree cap (witness: also the search bound)",
+            help="polynomial degree cap for this call",
         )
         return p
 
@@ -328,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     for verb in ("compose", "commutator"):
-        p = add(verb, lambda a, v=verb: _combine(a, v), help=f"{verb} of two admissible pairs")
+        p = add(verb, _cmd_combine, help=f"{verb} of two admissible pairs")
         p.add_argument("files", nargs="+", help="one file with two pairs, or two files")
         p.add_argument("--space", type=_space_arg, required=True)
 
@@ -364,16 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.max_degree is not None and args.verb != "witness":
-        set_degree_cap(args.max_degree)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except CurveGlueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        with degree_cap(args.max_degree or get_degree_cap()):
+            return args.func(args)
+    except (CurveGlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

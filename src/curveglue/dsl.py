@@ -52,6 +52,13 @@ def _tokens(text: str, line: int):
         pos = match.end()
 
 
+def _rational(text: str, line: int, column: int | None = None) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DSLSyntaxError(f"zero denominator in {text!r}", line, column) from None
+
+
 class _ExprParser:
     def __init__(self, text: str, line: int):
         self.line = line
@@ -102,7 +109,7 @@ class _ExprParser:
         if tok is None:
             self.fail("expected a term")
         if tok[0] == "num":
-            coeff = Fraction(tok[1])
+            coeff = _rational(tok[1], self.line, tok[2])
             saw_coeff = True
             self.next()
             tok = self.peek()
@@ -223,7 +230,8 @@ def parse_char(text: str, line: int = 1) -> Character:
     if not match:
         raise DSLSyntaxError("expected 'char branch=<1|2|sing> at=<rational>'", line)
     branch = match.group(1)
-    return make_character("sing" if branch == "sing" else int(branch), Fraction(match.group(2)))
+    at = _rational(match.group(2), line)
+    return make_character("sing" if branch == "sing" else int(branch), at)
 
 
 class ParsedOp(NamedTuple):
@@ -340,10 +348,6 @@ def parse_dsl(source: str):
 
 # ---------------------------------------------------------------------------
 # Rendering (inverse of parsing)
-
-
-def render_poly(p: Poly, var: str = "x") -> str:
-    return poly_str(p, var)
 
 
 def render_glued(u: GluedFunction) -> str:

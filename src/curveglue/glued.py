@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmbeddingError, JetMismatch, SpaceMismatch
-from .poly import Poly, Poly2, frac
+from .poly import Poly, Poly2
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,6 @@ class GluedFunction:
         self._check_space(other)
         return GluedFunction(self.f * other.f, self.g * other.g, self.space)
 
-    def jet_value(self, n: int) -> Fraction:
-        """Common n-th Taylor coefficient at 0 (n <= m)."""
-        if n > self.space.m:
-            raise ValueError("jet index exceeds the contact order")
-        return self.f.coeff(n)
-
     def __str__(self) -> str:
         from .dsl import render_glued
 
@@ -87,19 +81,6 @@ def make_glued(f: Poly, g: Poly, space: SpaceSpec) -> GluedFunction:
         if f.coeff(n) != g.coeff(n):
             raise JetMismatch(n, f.coeff(n), g.coeff(n))
     return GluedFunction(f, g, space)
-
-
-def glued_arith(u: GluedFunction, v: GluedFunction, kind: str) -> GluedFunction:
-    if kind == "add":
-        return u + v
-    if kind == "mul":
-        return u * v
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def glued_constant(c, space: SpaceSpec) -> GluedFunction:
-    p = Poly.of(frac(c))
-    return GluedFunction(p, p, space)
 
 
 def _check_embedding(h: Poly, space: SpaceSpec) -> None:

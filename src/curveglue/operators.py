@@ -102,10 +102,6 @@ class BranchOp:
 ZERO_OP = BranchOp(())
 
 
-def apply(op: BranchOp, p: Poly) -> Poly:
-    return op.apply(p)
-
-
 def compose(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     """Operator composition: apply op_b first, then op_a.
 
@@ -242,6 +238,14 @@ def render_linear(row, variables) -> str:
 
 
 @dataclass(frozen=True)
+class Violation:
+    """A constraint row that evaluates to ``lhs`` instead of 0."""
+
+    constraint: str
+    lhs: Fraction
+
+
+@dataclass(frozen=True)
 class ConditionSet:
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space."""
@@ -255,12 +259,14 @@ class ConditionSet:
     def rendered(self) -> tuple[str, ...]:
         return tuple(render_linear(row, self.variables) for row in self.rows)
 
-    def residuals(self, values: dict[JetVar, Fraction]) -> list[Fraction]:
-        return [
-            sum((c * values.get(v, Fraction(0)) for c, v in zip(row, self.variables)),
-                Fraction(0))
-            for row in self.rows
-        ]
+    def violations(self, values) -> tuple[Violation, ...]:
+        """The rows the given unknown values fail; only these are rendered."""
+        out = []
+        for row in self.rows:
+            lhs = sum((c * values[v] for c, v in zip(row, self.variables) if c), Fraction(0))
+            if lhs:
+                out.append(Violation(render_linear(row, self.variables), lhs))
+        return tuple(out)
 
 
 def spanning_family(space: SpaceSpec, max_diag: int, max_branch: int):
@@ -316,13 +322,6 @@ def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:
 
 
 @dataclass(frozen=True)
-class Violation:
-    constraint: str
-    lhs: Fraction
-    rhs: Fraction
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
     space: SpaceSpec
     order: int
@@ -346,17 +345,8 @@ def check_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int) -> Ad
     """Evaluate the generated conditions on the actual coefficient jets."""
     if d1.order > k or d2.order > k:
         raise OrderError(f"branch orders exceed the declared order {k}")
-    conditions = generate_conditions(space, k)
-    values = coefficient_jets(d1, d2, space, k)
-    violations = []
-    for row, text in zip(conditions.rows, conditions.rendered):
-        residual = sum(
-            (c * values[v] for c, v in zip(row, conditions.variables) if c),
-            Fraction(0),
-        )
-        if residual != 0:
-            violations.append(Violation(text, residual, Fraction(0)))
-    return AdmissibilityReport(space, k, tuple(violations))
+    violations = generate_conditions(space, k).violations(coefficient_jets(d1, d2, space, k))
+    return AdmissibilityReport(space, k, violations)
 
 
 def probe_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, probe_degree: int) -> bool:

@@ -36,13 +36,12 @@ def set_degree_cap(cap: int) -> None:
 @contextmanager
 def degree_cap(cap: int):
     """Temporarily raise/lower the degree cap."""
-    global _degree_cap
     old = _degree_cap
-    _degree_cap = cap
+    set_degree_cap(cap)
     try:
         yield
     finally:
-        _degree_cap = old
+        set_degree_cap(old)
 
 
 def frac(value) -> Fraction:
@@ -140,12 +139,6 @@ class Poly:
         """Formal derivative."""
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
 
-    def derive_n(self, n: int) -> "Poly":
-        p = self
-        for _ in range(n):
-            p = p.derive()
-        return p
-
     def __call__(self, t) -> Fraction:
         t = frac(t)
         value = Fraction(0)
@@ -216,21 +209,6 @@ ONE = Poly((Fraction(1),))
 X = Poly((Fraction(0), Fraction(1)))
 
 
-def poly_arith(p: Poly, q: Poly, kind: str) -> Poly:
-    """Dispatch form of +, -, * used by the CLI layer."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c)
-
-
 def poly_str(p: Poly, var: str = "x") -> str:
     """Render in the DSL syntax, e.g. ``3/2*x^2 - x + 1``."""
     if p.is_zero:
@@ -243,10 +221,10 @@ def poly_str(p: Poly, var: str = "x") -> str:
         sign = "-" if c < 0 else "+"
         mag = abs(c)
         if n == 0:
-            body = _coeff_str(mag)
+            body = str(mag)
         else:
             xpow = var if n == 1 else f"{var}^{n}"
-            body = xpow if mag == 1 else f"{_coeff_str(mag)}*{xpow}"
+            body = xpow if mag == 1 else f"{mag}*{xpow}"
         if not parts:
             parts.append(body if sign == "+" else f"-{body}")
         else:
@@ -265,11 +243,6 @@ class Jet:
         if len(self.values) != self.order + 1:
             raise ValueError("jet must carry exactly order+1 coefficients")
 
-    @staticmethod
-    def basis(order: int, n: int) -> "Jet":
-        """The class of x**n in the truncated ring (eps**n)."""
-        return Jet(order, tuple(Fraction(1 if i == n else 0) for i in range(order + 1)))
-
     def __add__(self, other: "Jet") -> "Jet":
         self._check(other)
         return Jet(self.order, tuple(a + b for a, b in zip(self.values, other.values)))
@@ -287,10 +260,6 @@ class Jet:
     def _check(self, other: "Jet") -> None:
         if self.order != other.order:
             raise ValueError("jet orders differ")
-
-
-def jet_project(p: Poly, order: int) -> Jet:
-    return p.jet(order)
 
 
 @dataclass(frozen=True)
@@ -359,7 +328,7 @@ def poly2_str(F: Poly2) -> str:
             mag = abs(c)
             factors = []
             if mag != 1 or (i == 0 and j == 0):
-                factors.append(_coeff_str(mag))
+                factors.append(str(mag))
             if i:
                 factors.append("x" if i == 1 else f"x^{i}")
             if j:

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 
 from .errors import OrderError, UnsupportedSpaceError
 from .glued import GluedFunction, SpaceSpec, make_glued, random_glued
+from .operators import spanning_family
 from .poly import ZERO, Poly, frac
 from .symbols import SymbolElem, check_symbol_conditions, make_symbol, symbol_mul
 
@@ -87,17 +88,6 @@ def char_is_homomorphism(c: Character, space: SpaceSpec, samples: int, seed: int
     return probe_homomorphism(lambda u: char_eval(c, u), space, samples, seed)
 
 
-def _witness_candidates(space: SpaceSpec, max_degree: int):
-    m = space.m
-    for n in range(1, max_degree + 1):
-        p = Poly.monomial(n)
-        yield GluedFunction(p, p, space)
-    for n in range(m + 1, max_degree + 1):
-        p = Poly.monomial(n)
-        yield GluedFunction(p, ZERO, space)
-        yield GluedFunction(ZERO, p, space)
-
-
 def separating_witness(
     c1: Character, c2: Character, space: SpaceSpec, max_degree: int
 ) -> Optional[GluedFunction]:
@@ -105,7 +95,8 @@ def separating_witness(
     none exists up to the degree bound.  For canonical characters, None
     occurs exactly when the two denote the same point, provided
     max_degree >= m + 1."""
-    for u in _witness_candidates(space, max_degree):
+    for f, g in spanning_family(space, max_degree, max_degree):
+        u = GluedFunction(f, g, space)
         if char_eval(c1, u) != char_eval(c2, u):
             return u
     return None

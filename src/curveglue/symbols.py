@@ -14,7 +14,6 @@ l*a_s*a_t' - n*a_t*a_s' branchwise for degrees l and n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,7 +24,6 @@ from .operators import (
     BranchOp,
     ConditionSet,
     PairedOp,
-    Violation,
     generate_conditions,
     pair_commutator,
     rref,
@@ -92,24 +90,14 @@ def check_symbol_conditions(s: SymbolElem) -> AdmissibilityReport:
     for r in range(s.space.m + 1):
         values[SymbolVar("a", r)] = s.a.deriv_at_zero(r)
         values[SymbolVar("b", r)] = s.b.deriv_at_zero(r)
-    violations = []
-    for row, text in zip(conditions.rows, conditions.rendered):
-        residual = sum(
-            (c * values[v] for c, v in zip(row, conditions.variables) if c),
-            Fraction(0),
-        )
-        if residual != 0:
-            violations.append(Violation(text, residual, Fraction(0)))
-    return AdmissibilityReport(s.space, s.degree, tuple(violations))
+    return AdmissibilityReport(s.space, s.degree, conditions.violations(values))
 
 
 def make_symbol(degree: int, a: Poly, b: Poly, space: SpaceSpec) -> SymbolElem:
     if degree < 0:
         raise OrderError("symbol degree must be nonnegative")
     s = SymbolElem(degree, a, b, space)
-    report = check_symbol_conditions(s)
-    if not report.ok:
-        raise SymbolConditionError(report)
+    _require_valid(s)
     return s
 
 

@@ -4,6 +4,7 @@ Every invocation runs `main` in-process; stdout is compared verbatim
 against a file in tests/golden/.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from curveglue import dsl
 from curveglue.cli import main
 from curveglue.glued import SpaceSpec
 from curveglue.operators import generate_conditions
-from curveglue.poly import set_degree_cap
+from curveglue.poly import get_degree_cap
+from curveglue.spectra import char_eval
 from curveglue.symbols import SymbolElem
 
 HERE = Path(__file__).parent
@@ -21,15 +23,14 @@ DATA = HERE / "data"
 GOLDEN = HERE / "golden"
 
 
-@pytest.fixture(autouse=True)
-def _restore_degree_cap():
-    yield
-    set_degree_cap(32)
-
-
 def run(capsys, *argv):
     status = main([str(a) for a in argv])
     return status, capsys.readouterr()
+
+
+def run_stdin(capsys, monkeypatch, text, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, *argv)
 
 
 def assert_golden(capsys, golden_name, expected_status, *argv):
@@ -95,6 +96,23 @@ class TestConditionGoldensAreComplete:
     def test_matches_generator(self, golden, m, k):
         lines = (GOLDEN / golden).read_text().splitlines()
         assert lines == list(generate_conditions(SpaceSpec(m), k).rendered)
+
+
+@pytest.mark.parametrize(
+    "golden,status,argv", CORPUS, ids=[c[0].removesuffix(".txt") for c in CORPUS]
+)
+def test_json_corpus_shares_payload_shape(capsys, golden, status, argv):
+    got, captured = run(capsys, *argv, "--json")
+    payload = json.loads(captured.out)
+    assert got == status
+    assert list(payload)[:2] == ["verb", "space"]
+    assert payload["verb"] == argv[0]
+    assert isinstance(payload["verdict"], str)
+    assert all(set(v) == {"constraint", "lhs", "rhs"} for v in payload["violations"])
+    if "--space" in argv:
+        assert payload["space"] == argv[argv.index("--space") + 1]
+    if "dsl" in payload.get("result", {}):
+        dsl.parse_dsl(payload["result"]["dsl"])
 
 
 class TestJsonOutput:
@@ -165,10 +183,7 @@ class TestExitStatusContract:
         assert status == 2
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO("pair m=0: x | 0\n"))
-        status, captured = run(capsys, "extend", "-")
+        status, captured = run_stdin(capsys, monkeypatch, "pair m=0: x | 0\n", "extend", "-")
         assert status == 0
         assert captured.out.strip() == "x - y"
 
@@ -178,3 +193,58 @@ class TestExitStatusContract:
             capsys, "check", DATA / "pair_euler_K1.txt", "--space", "K1", "--order", "2"
         )
         assert status == 0
+
+    def test_zero_denominator_in_poly_is_input_error(self, capsys, monkeypatch):
+        status, captured = run_stdin(capsys, monkeypatch, "pair m=1: 1/0 | 1\n", "extend", "-")
+        assert status == 2
+        assert captured.err.startswith("error: zero denominator")
+
+    def test_zero_denominator_in_char_is_input_error(self, capsys, monkeypatch):
+        text = "char branch=1 at=1/0\nchar branch=2 at=1\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "witness", "-", "--space", "K1")
+        assert status == 2
+        assert captured.err.startswith("error: zero denominator")
+
+
+class TestDegreeCapOption:
+    def test_cap_is_scoped_to_one_call(self, capsys):
+        run(capsys, "nullity", "--space", "K0", "--max-degree", "5")
+        assert get_degree_cap() == 32
+
+    def test_nonpositive_cap_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nullity", "--space", "K0", "--max-degree", "0"])
+        assert exc.value.code == 2
+        assert "--max-degree" in capsys.readouterr().err
+
+    def test_witness_search_ignores_cap(self, capsys, monkeypatch):
+        # Both points sit at 1, one per branch: they differ, so a witness exists.
+        text = "char branch=1 at=1\nchar branch=2 at=1\n"
+        argv = ("witness", "-", "--space", "K1", "--max-degree", "1")
+        status, captured = run_stdin(capsys, monkeypatch, text, *argv)
+        assert status == 0
+        u = dsl.parse_glued(captured.out)
+        c1, c2 = (dsl.parse_char(line) for line in text.splitlines())
+        assert char_eval(c1, u) != char_eval(c2, u)
+
+
+class TestErrorLineNumbers:
+    """Errors name the input line, counting comment and blank lines."""
+
+    def test_bracket(self, capsys, monkeypatch):
+        text = "# two symbols\n\nsymbol deg=1 m=1: x | y\nsymbol deg=1 m=1: x | $\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "bracket", "-")
+        assert status == 2
+        assert "at line 4" in captured.err
+
+    def test_witness(self, capsys, monkeypatch):
+        text = "# two points\nchar branch=1 at=1\n\nchar branch=3 at=1\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "witness", "-", "--space", "K0")
+        assert status == 2
+        assert "at line 4" in captured.err
+
+    def test_restrict(self, capsys, monkeypatch):
+        text = "# a surface\n\n\nx*y $\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "restrict", "-", "--space", "K1")
+        assert status == 2
+        assert "at line 4" in captured.err

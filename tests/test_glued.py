@@ -10,7 +10,6 @@ from curveglue.glued import (
     SpaceSpec,
     canonical_embedding,
     extend_to_plane,
-    glued_arith,
     make_glued,
     random_glued,
     restrict_to_branches,
@@ -39,7 +38,7 @@ class TestMakeGlued:
 class TestArithmetic:
     def test_square(self):
         u = make_glued(X, X, K1)
-        assert glued_arith(u, u, "mul") == make_glued(Poly.monomial(2), Poly.monomial(2), K1)
+        assert u * u == make_glued(Poly.monomial(2), Poly.monomial(2), K1)
 
     def test_branch_supported_annihilate(self):
         u = make_glued(X, Poly.of(), K0)

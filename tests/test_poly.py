@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveglue.errors import DegreeCapExceeded, ExactDivisionError
-from curveglue.poly import Jet, Poly, degree_cap, frac, jet_project, poly_arith
+from curveglue.poly import Jet, Poly, degree_cap, frac
 
 X = Poly.monomial(1)
 
@@ -25,15 +25,14 @@ def polys(max_degree=8):
 
 class TestArithmetic:
     def test_mul_by_zero(self):
-        assert poly_arith(X, Poly.of(), "mul") == Poly.of()
+        assert X * Poly.of() == Poly.of()
 
     def test_difference_of_squares(self):
-        assert poly_arith(Poly.of(1, 1), Poly.of(1, -1), "mul") == Poly.of(1, 0, -1)
+        assert Poly.of(1, 1) * Poly.of(1, -1) == Poly.of(1, 0, -1)
 
     def test_exact_rational_sub(self):
-        assert poly_arith(
-            Poly.monomial(2, Fraction(3, 2)), Poly.monomial(2, Fraction(1, 2)), "sub"
-        ) == Poly.monomial(2)
+        half, three_halves = Poly.monomial(2, Fraction(1, 2)), Poly.monomial(2, Fraction(3, 2))
+        assert three_halves - half == Poly.monomial(2)
 
     def test_degrees(self):
         p, q = Poly.of(1, 2, 3), Poly.of(0, 1)
@@ -84,19 +83,19 @@ class TestEval:
 
 class TestJet:
     def test_truncation(self):
-        assert jet_project(Poly.of(2, 3, 0, 0, 0, 1), 2) == Jet(2, (Fraction(2), Fraction(3), Fraction(0)))
+        assert Poly.of(2, 3, 0, 0, 0, 1).jet(2) == Jet(2, (Fraction(2), Fraction(3), Fraction(0)))
 
     def test_zero(self):
-        assert jet_project(Poly.of(), 1) == Jet(1, (Fraction(0), Fraction(0)))
+        assert Poly.of().jet(1) == Jet(1, (Fraction(0), Fraction(0)))
 
     def test_higher_term_killed(self):
-        assert jet_project(Poly.monomial(3), 2) == Jet(2, (Fraction(0),) * 3)
+        assert Poly.monomial(3).jet(2) == Jet(2, (Fraction(0),) * 3)
 
     @settings(max_examples=100)
     @given(polys(5), polys(5), st.integers(min_value=0, max_value=4))
     def test_ring_map(self, p, q, m):
-        assert jet_project(p * q, m) == jet_project(p, m) * jet_project(q, m)
-        assert jet_project(p + q, m) == jet_project(p, m) + jet_project(q, m)
+        assert (p * q).jet(m) == p.jet(m) * q.jet(m)
+        assert (p + q).jet(m) == p.jet(m) + q.jet(m)
 
 
 class TestHadamardSplit:
