@@ -85,15 +85,17 @@ def _emit(args, lines, space, verdict="pass", *, result=None, order=None, report
     print(json.dumps(payload, indent=2))
 
 
-def _load_two(paths: list[str], parse_one, parse_many):
-    if len(paths) == 1:
-        items = parse_many(_read(paths[0]))
-        if len(items) != 2:
-            raise CurveGlueError(f"expected two blocks in {paths[0]}, found {len(items)}")
-        return items
-    if len(paths) == 2:
-        return [parse_one(_read(paths[0])), parse_one(_read(paths[1]))]
-    raise CurveGlueError("expected one or two input files")
+def _load_two(paths: list[str], parse_many):
+    """Two blocks: both in one file, or one in each of two files."""
+    if len(paths) not in (1, 2):
+        raise CurveGlueError("expected one or two input files")
+    items = []
+    for path in paths:
+        found = parse_many(_read(path))
+        if len(found) != 3 - len(paths):
+            raise CurveGlueError(f"expected {3 - len(paths)} block(s) in {path}, found {len(found)}")
+        items += found
+    return items
 
 
 def _cmd_check(args) -> int:
@@ -116,7 +118,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_combine(args) -> int:
-    parsed = _load_two(args.files, dsl.parse_paired, dsl.parse_many_paired)
+    parsed = _load_two(args.files, dsl.parse_many_paired)
     a, b = (make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed)
     pair = (pair_compose if args.verb == "compose" else pair_commutator)(a, b)
     text = dsl.render_paired(pair)
@@ -151,7 +153,7 @@ def _parse_symbols_text(text: str):
 
 
 def _cmd_bracket(args) -> int:
-    symbols = _load_two(args.files, dsl.parse_symbol, _parse_symbols_text)
+    symbols = _load_two(args.files, _parse_symbols_text)
     return _emit_symbol(args, poisson_bracket(symbols[0], symbols[1]))
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import DSLSyntaxError, JetMismatch
 from .glued import GluedFunction, SpaceSpec, make_glued
 from .operators import BranchOp
-from .poly import ZERO, Poly, Poly2, poly_str
+from .poly import ZERO, Poly, Poly2, get_degree_cap, poly_str
 from .spectra import Character, make_character
 from .symbols import SymbolElem, make_symbol
 
@@ -35,19 +35,19 @@ _TOKEN = re.compile(
 )
 
 
-def _tokens(text: str, line: int):
+def _tokens(text: str, line: int, offset: int):
+    """(kind, text, column) tokens; columns count from ``offset`` + 1."""
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
             break
-        if match.group("bad"):
-            raise DSLSyntaxError(
-                f"unexpected character {match.group('bad')!r}", line, match.start("bad") + 1
-            )
+        bad = match.group("bad")
+        if bad:
+            raise DSLSyntaxError(f"unexpected character {bad!r}", line, offset + match.start("bad") + 1)
         for kind in ("num", "var", "op"):
             if match.group(kind):
-                yield kind, match.group(kind), match.start(kind) + 1
+                yield kind, match.group(kind), offset + match.start(kind) + 1
                 break
         pos = match.end()
 
@@ -60,10 +60,12 @@ def _rational(text: str, line: int, column: int | None = None) -> Fraction:
 
 
 class _ExprParser:
-    def __init__(self, text: str, line: int):
+    def __init__(self, text: str, line: int, offset: int = 0):
         self.line = line
-        self.toks = list(_tokens(text, line))
+        self.toks = list(_tokens(text, line, offset))
         self.pos = 0
+        if not self.toks:
+            raise DSLSyntaxError("empty expression", line)
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -133,6 +135,8 @@ class _ExprParser:
                 if tok is None or tok[0] != "num" or "/" in tok[1]:
                     self.fail("expected an integer exponent after '^'")
                 power = int(tok[1])
+                if power > get_degree_cap():
+                    self.fail(f"exponent {power} exceeds the degree cap {get_degree_cap()}")
                 self.next()
             if var in powers:
                 self.fail(f"variable {var!r} repeated in one term")
@@ -154,17 +158,18 @@ def _strip(line: str) -> str:
 
 
 def parse_terms(text: str, line: int = 1) -> dict[tuple[int, int], Fraction]:
-    parser = _ExprParser(text, line)
-    if not parser.toks:
-        raise DSLSyntaxError("empty expression", line)
-    terms = parser.parse_terms()
-    return terms
+    return _ExprParser(text, line).parse_terms()
 
 
 def parse_poly(text: str, line: int = 1) -> Poly:
     """Parse a univariate polynomial; x and y are both accepted as the
     indeterminate (branch naming is display only), but not mixed."""
-    terms = parse_terms(text, line)
+    return _poly_at(text, line, 0)
+
+
+def _poly_at(text: str, line: int, offset: int) -> Poly:
+    """parse_poly with error columns counted from ``offset`` + 1."""
+    terms = _ExprParser(text, line, offset).parse_terms()
     has_x = any(i for (i, _), c in terms.items() if c)
     has_y = any(j for (_, j), c in terms.items() if c)
     if has_x and has_y:
@@ -187,19 +192,23 @@ def parse_poly2(text: str, line: int = 1) -> Poly2:
     return Poly2.of(*slices)
 
 
-_PAIR = re.compile(r"^pair\s+m\s*=\s*(\d+)\s*:\s*(.*)$")
-_SYMBOL = re.compile(r"^symbol\s+deg\s*=\s*(\d+)\s+m\s*=\s*(\d+)\s*:\s*(.*)$")
+_PAIR = re.compile(r"^pair\s+m\s*=\s*(\d+)\s*:\s*(?P<body>.*)$")
+_SYMBOL = re.compile(r"^symbol\s+deg\s*=\s*(\d+)\s+m\s*=\s*(\d+)\s*:\s*(?P<body>.*)$")
 _CHAR = re.compile(r"^char\s+branch\s*=\s*(1|2|sing)\s+at\s*=\s*(-?\d+(?:/\d+)?)\s*$")
 _OP = re.compile(r"^op\s+order\s*=\s*(\d+)\s*$")
 _COEFF = re.compile(r"^coeff\s+(\d+)\s*:\s*(.*)$")
 _BRANCH = re.compile(r"^branch\s+([xy])\s*$")
 
 
-def _split_pair_body(body: str, line: int):
-    parts = body.split("|")
+def _branch_polys(match: re.Match, line: int) -> tuple[Poly, Poly]:
+    """The '<poly> | <poly>' body closing a pair or symbol line, with error
+    columns counted from the start of the line."""
+    start = match.start("body")
+    parts = match.group("body").split("|")
     if len(parts) != 2:
         raise DSLSyntaxError("expected exactly two branch polynomials separated by '|'", line)
-    return parts
+    left, right = parts
+    return _poly_at(left, line, start), _poly_at(right, line, start + len(left) + 1)
 
 
 def parse_glued(text: str, line: int = 1) -> GluedFunction:
@@ -207,9 +216,7 @@ def parse_glued(text: str, line: int = 1) -> GluedFunction:
     if not match:
         raise DSLSyntaxError("expected 'pair m=<INT>: <poly> | <poly>'", line)
     m = int(match.group(1))
-    left, right = _split_pair_body(match.group(2), line)
-    f = parse_poly(left, line)
-    g = parse_poly(right, line)
+    f, g = _branch_polys(match, line)
     try:
         return make_glued(f, g, SpaceSpec(m))
     except JetMismatch as exc:
@@ -221,8 +228,7 @@ def parse_symbol(text: str, line: int = 1) -> SymbolElem:
     if not match:
         raise DSLSyntaxError("expected 'symbol deg=<INT> m=<INT>: <poly> | <poly>'", line)
     degree, m = int(match.group(1)), int(match.group(2))
-    left, right = _split_pair_body(match.group(3), line)
-    return make_symbol(degree, parse_poly(left, line), parse_poly(right, line), SpaceSpec(m))
+    return make_symbol(degree, *_branch_polys(match, line), SpaceSpec(m))
 
 
 def parse_char(text: str, line: int = 1) -> Character:
@@ -270,7 +276,7 @@ def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
             raise DSLSyntaxError(f"coefficient index {i} exceeds declared order {order}", number)
         if i in coeffs:
             raise DSLSyntaxError(f"coefficient {i} given twice", number)
-        coeffs[i] = parse_poly(match.group(2), number)
+        coeffs[i] = _poly_at(match.group(2), number, match.start(2))
         index += 1
     op = BranchOp.of(*(coeffs.get(i, ZERO) for i in range(order + 1)))
     return ParsedOp(op, order), index
@@ -339,8 +345,6 @@ def parse_dsl(source: str):
     if head == "branch":
         return parse_paired(source)
     terms = parse_terms(first, number)
-    if any(i and j for (i, j) in terms):
-        return parse_poly2(first, number)
     if any(j for (_, j) in terms) and any(i for (i, _) in terms):
         return parse_poly2(first, number)
     return parse_poly(first, number)
@@ -378,10 +382,9 @@ def render_op(op: BranchOp, declared_order: int | None = None, var: str = "x") -
     return "\n".join(lines)
 
 
-def render_paired(pair, declared_order: int | None = None) -> str:
-    order = declared_order if declared_order is not None else getattr(pair, "order", None)
-    if order is None:
-        order = pair.declared_order
+def render_paired(pair) -> str:
+    """Render a PairedOp, or a ParsedPair at its declared order."""
+    order = pair.declared_order if isinstance(pair, ParsedPair) else pair.order
     return (
         "branch x\n"
         + render_op(pair.d1, order, "x")

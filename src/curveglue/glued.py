@@ -36,6 +36,12 @@ class SpaceSpec:
         return f"K{self.contact_order}"
 
 
+def same_space(a, b) -> None:
+    """Raise SpaceMismatch unless a and b (anything with a ``space``) agree."""
+    if a.space != b.space:
+        raise SpaceMismatch(f"spaces differ: {a.space} vs {b.space}")
+
+
 def canonical_embedding(space: SpaceSpec) -> Poly:
     """The default embedding profile h(x) = x**(m+1)."""
     return Poly.monomial(space.m + 1)
@@ -53,20 +59,16 @@ class GluedFunction:
     g: Poly
     space: SpaceSpec
 
-    def _check_space(self, other: "GluedFunction") -> None:
-        if self.space != other.space:
-            raise SpaceMismatch(f"spaces differ: {self.space} vs {other.space}")
-
     def __add__(self, other: "GluedFunction") -> "GluedFunction":
-        self._check_space(other)
+        same_space(self, other)
         return GluedFunction(self.f + other.f, self.g + other.g, self.space)
 
     def __sub__(self, other: "GluedFunction") -> "GluedFunction":
-        self._check_space(other)
+        same_space(self, other)
         return GluedFunction(self.f - other.f, self.g - other.g, self.space)
 
     def __mul__(self, other: "GluedFunction") -> "GluedFunction":
-        self._check_space(other)
+        same_space(self, other)
         return GluedFunction(self.f * other.f, self.g * other.g, self.space)
 
     def __str__(self) -> str:

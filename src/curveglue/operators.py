@@ -24,19 +24,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, ClosureBugError, OrderError, SpaceMismatch
-from .glued import GluedFunction, SpaceSpec, make_glued
-from .poly import NEG_INF, ZERO, Poly
+from .errors import AdmissibilityError, ClosureBugError, OrderError
+from .glued import GluedFunction, SpaceSpec, make_glued, same_space
+from .poly import NEG_INF, ZERO, Poly, _trim, signed_sum
 
 # ---------------------------------------------------------------------------
 # Branch operators
-
-
-def _trim_ops(coeffs):
-    xs = list(coeffs)
-    while xs and xs[-1].is_zero:
-        xs.pop()
-    return tuple(xs)
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class BranchOp:
 
     @staticmethod
     def of(*coeffs: Poly) -> "BranchOp":
-        return BranchOp(_trim_ops(coeffs))
+        return BranchOp(_trim(coeffs))
 
     @staticmethod
     def mult(a: Poly) -> "BranchOp":
@@ -161,6 +154,12 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
 # Jet-condition generation
 
 
+def _prime_name(stem: str, r: int) -> str:
+    """The r-th derivative at 0 in prime notation: a1''(0), b^(4)(0)."""
+    primes = "'" * r if r <= 3 else f"^({r})"
+    return f"{stem}{primes}(0)"
+
+
 class JetVar(NamedTuple):
     """The unknown a_s^(r)(0) (branch 'a') or b_s^(r)(0) (branch 'b')."""
 
@@ -170,8 +169,7 @@ class JetVar(NamedTuple):
 
     @property
     def name(self) -> str:
-        primes = "'" * self.r if self.r <= 3 else f"^({self.r})"
-        return f"{self.branch}{self.s}{primes}(0)"
+        return _prime_name(f"{self.branch}{self.s}", self.r)
 
 
 def _variables(m: int, k: int) -> tuple[JetVar, ...]:
@@ -196,7 +194,7 @@ def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     for col in range(ncols):
         target = None
         for row in rows:
-            if row[col] != 0 and all(row[c] == 0 for c in range(col)):
+            if row[col] != 0:
                 target = row
                 break
         if target is None:
@@ -222,19 +220,7 @@ def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
 
 def render_linear(row, variables) -> str:
     """Render a homogeneous constraint row as '... = 0'."""
-    parts = []
-    for coeff, var in zip(row, variables):
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        body = var.name if mag == 1 else f"{mag}*{var.name}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    if not parts:
-        return "0 = 0"
-    return " ".join(parts) + " = 0"
+    return signed_sum(zip(row, (v.name for v in variables))) + " = 0"
 
 
 @dataclass(frozen=True)
@@ -377,10 +363,6 @@ class PairedOp:
     space: SpaceSpec
     order: int
 
-    def _check_space(self, other) -> None:
-        if self.space != other.space:
-            raise SpaceMismatch(f"spaces differ: {self.space} vs {other.space}")
-
     def __str__(self) -> str:
         from .dsl import render_paired
 
@@ -390,7 +372,6 @@ class PairedOp:
 def make_pair(d1: BranchOp, d2: BranchOp, space: SpaceSpec, order: int | None = None) -> PairedOp:
     if order is None:
         order = max(d1.order, d2.order, 0)
-        order = 0 if order == NEG_INF else int(order)
     report = check_admissible(d1, d2, space, order)
     if not report.ok:
         raise AdmissibilityError(report)
@@ -398,8 +379,7 @@ def make_pair(d1: BranchOp, d2: BranchOp, space: SpaceSpec, order: int | None = 
 
 
 def pair_apply(op: PairedOp, u: GluedFunction) -> GluedFunction:
-    if op.space != u.space:
-        raise SpaceMismatch(f"spaces differ: {op.space} vs {u.space}")
+    same_space(op, u)
     # Admissibility is exactly the statement that this stays glued.
     return make_glued(op.d1.apply(u.f), op.d2.apply(u.g), op.space)
 
@@ -417,7 +397,7 @@ def _closed_pair(d1: BranchOp, d2: BranchOp, space: SpaceSpec, order: int, what:
 
 
 def pair_compose(op_a: PairedOp, op_b: PairedOp) -> PairedOp:
-    op_a._check_space(op_b)
+    same_space(op_a, op_b)
     return _closed_pair(
         compose(op_a.d1, op_b.d1),
         compose(op_a.d2, op_b.d2),
@@ -428,7 +408,7 @@ def pair_compose(op_a: PairedOp, op_b: PairedOp) -> PairedOp:
 
 
 def pair_commutator(op_a: PairedOp, op_b: PairedOp) -> PairedOp:
-    op_a._check_space(op_b)
+    same_space(op_a, op_b)
     order = max(op_a.order + op_b.order - 1, 0)
     return _closed_pair(
         commutator(op_a.d1, op_b.d1),

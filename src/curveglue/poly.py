@@ -54,8 +54,9 @@ def frac(value) -> Fraction:
 
 
 def _trim(coeffs):
+    """Drop trailing zeros; Fraction and Poly entries are both falsy at zero."""
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
@@ -129,12 +130,6 @@ class Poly:
     def __rmul__(self, other):
         return self * other
 
-    def __pow__(self, n: int) -> "Poly":
-        result = ONE
-        for _ in range(n):
-            result = result * self
-        return result
-
     def derive(self) -> "Poly":
         """Formal derivative."""
         return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
@@ -205,31 +200,33 @@ class Poly:
 
 
 ZERO = Poly(())
-ONE = Poly((Fraction(1),))
-X = Poly((Fraction(0), Fraction(1)))
+
+
+def signed_sum(terms) -> str:
+    """Render (coefficient, monomial) pairs as ``3/2*x^2 - x + 1``.
+
+    Zero coefficients are skipped, the monomial ``""`` stands for 1, and the
+    empty sum is ``"0"``."""
+    parts = []
+    for c, mono in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = f"{mag}*{mono}" if mag != 1 and mono else (mono or str(mag))
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts) or "0"
+
+
+def _power(var: str, n: int) -> str:
+    return "" if n == 0 else var if n == 1 else f"{var}^{n}"
 
 
 def poly_str(p: Poly, var: str = "x") -> str:
     """Render in the DSL syntax, e.g. ``3/2*x^2 - x + 1``."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for n in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[n]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        if n == 0:
-            body = str(mag)
-        else:
-            xpow = var if n == 1 else f"{var}^{n}"
-            body = xpow if mag == 1 else f"{mag}*{xpow}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+    return signed_sum((p.coeffs[n], _power(var, n)) for n in reversed(range(len(p.coeffs))))
 
 
 @dataclass(frozen=True)
@@ -272,10 +269,7 @@ class Poly2:
 
     @staticmethod
     def of(*slices: Poly) -> "Poly2":
-        xs = list(slices)
-        while xs and xs[-1].is_zero:
-            xs.pop()
-        return Poly2(tuple(xs))
+        return Poly2(_trim(slices))
 
     @property
     def is_zero(self) -> bool:
@@ -304,38 +298,14 @@ class Poly2:
             value = value * y_value + s(x_value)
         return value
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.slices == other.slices
-
-    def __hash__(self):
-        return hash(self.slices)
-
     def __str__(self) -> str:
         return poly2_str(self)
 
 
 def poly2_str(F: Poly2) -> str:
     """Render as a sum of c*x^i*y^j terms."""
-    if F.is_zero:
-        return "0"
-    parts = []
-    for j, s in enumerate(F.slices):
-        for i in range(len(s.coeffs)):
-            c = s.coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            factors = []
-            if mag != 1 or (i == 0 and j == 0):
-                factors.append(str(mag))
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f"{sign} {body}")
-    return " ".join(parts)
+    return signed_sum(
+        (c, "*".join(filter(None, (_power("x", i), _power("y", j)))))
+        for j, s in enumerate(F.slices)
+        for i, c in enumerate(s.coeffs)
+    )

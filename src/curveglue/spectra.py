@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from .errors import OrderError, UnsupportedSpaceError
 from .glued import GluedFunction, SpaceSpec, make_glued, random_glued
 from .operators import spanning_family
-from .poly import ZERO, Poly, frac
+from .poly import Poly, frac
 from .symbols import SymbolElem, check_symbol_conditions, make_symbol, symbol_mul
 
 SINGULAR = "sing"
@@ -119,8 +119,8 @@ def maximal_ideal_factor(s: SymbolElem) -> tuple[SymbolElem, SymbolElem]:
         raise OrderError("input is not a valid symbol at its degree")
     x = Poly.monomial(1)
     g = make_symbol(0, x, x, s.space)
-    alpha = s.a.divide_exact(x) if not s.a.is_zero else ZERO
-    beta = s.b.divide_exact(x) if not s.b.is_zero else ZERO
+    alpha = s.a.divide_exact(x)
+    beta = s.b.divide_exact(x)
     t = SymbolElem(2 * s.degree, x * alpha * alpha, x * beta * beta, s.space)
     return g, t
 

@@ -17,13 +17,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import OrderError, SpaceMismatch, SymbolConditionError
-from .glued import SpaceSpec
+from .errors import OrderError, SymbolConditionError
+from .glued import SpaceSpec, same_space
 from .operators import (
     AdmissibilityReport,
     BranchOp,
     ConditionSet,
     PairedOp,
+    _prime_name,
     generate_conditions,
     pair_commutator,
     rref,
@@ -39,8 +40,7 @@ class SymbolVar(NamedTuple):
 
     @property
     def name(self) -> str:
-        primes = "'" * self.r if self.r <= 3 else f"^({self.r})"
-        return f"{self.branch}{primes}(0)"
+        return _prime_name(self.branch, self.r)
 
 
 @lru_cache(maxsize=None)
@@ -55,8 +55,8 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     permuted = [[row[i] for i in other] + [row[i] for i in top] for row in full.rows]
     reduced = rref(permuted)
     n_other = len(other)
+    # Reduced rows that vanish on the eliminated columns are already reduced.
     kept = [row[n_other:] for row in reduced if not any(row[:n_other])]
-    kept = rref(kept)
     top_vars = tuple(SymbolVar(variables[i].branch, variables[i].r) for i in top)
     return ConditionSet(SpaceSpec(m), degree, top_vars, tuple(tuple(r) for r in kept))
 
@@ -111,11 +111,6 @@ def _require_valid(s: SymbolElem) -> None:
         raise SymbolConditionError(report)
 
 
-def _check_space(s: SymbolElem, t: SymbolElem) -> None:
-    if s.space != t.space:
-        raise SpaceMismatch(f"spaces differ: {s.space} vs {t.space}")
-
-
 def take_symbol(op: BranchOp, k: int) -> Poly:
     """Top coefficient of an operator viewed at order k."""
     if op.order > k:
@@ -135,7 +130,7 @@ def pair_symbol(op: PairedOp) -> SymbolElem:
 
 
 def symbol_add(s: SymbolElem, t: SymbolElem) -> SymbolElem:
-    _check_space(s, t)
+    same_space(s, t)
     if s.degree != t.degree:
         raise OrderError("can only add symbols of equal degree")
     return SymbolElem(s.degree, s.a + t.a, s.b + t.b, s.space)
@@ -147,7 +142,7 @@ def symbol_scale(s: SymbolElem, c) -> SymbolElem:
 
 def symbol_mul(s: SymbolElem, t: SymbolElem) -> SymbolElem:
     """Graded product: degrees add, coefficients multiply componentwise."""
-    _check_space(s, t)
+    same_space(s, t)
     _require_valid(s)
     _require_valid(t)
     return make_symbol(s.degree + t.degree, s.a * t.a, s.b * t.b, s.space)
@@ -156,7 +151,7 @@ def symbol_mul(s: SymbolElem, t: SymbolElem) -> SymbolElem:
 def poisson_bracket(s: SymbolElem, t: SymbolElem) -> SymbolElem:
     """Bracket of degrees l, n at degree l+n-1 via the leading-coefficient
     formula; {deg 0, deg 0} is the zero symbol at degree 0."""
-    _check_space(s, t)
+    same_space(s, t)
     _require_valid(s)
     _require_valid(t)
     l, n = s.degree, t.degree

@@ -1,0 +1,102 @@
+"""The library names the benchmark in ``perfbench/`` relies on.
+
+The harness looks some of them up with ``getattr``/``hasattr`` fallbacks, so
+a rename would silently zero its cache counters or drop its ``rref`` spans
+instead of failing.  This test makes such a rename fail here.
+"""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Every curveglue name used in perfbench/*.py, by module.
+USED = {
+    "cli": ["main"],
+    "dsl": [
+        "parse_char",
+        "parse_glued",
+        "parse_many_paired",
+        "parse_paired",
+        "parse_poly2",
+        "parse_symbol",
+        "render_char",
+        "render_glued",
+        "render_paired",
+        "render_symbol",
+    ],
+    "glued": [
+        "SpaceSpec",
+        "extend_to_plane",
+        "make_glued",
+        "random_glued",
+        "random_poly",
+        "restrict_to_branches",
+    ],
+    "operators": [
+        "BranchOp",
+        "PairedOp",
+        "_generate",
+        "check_admissible",
+        "default_probe_degree",
+        "generate_conditions",
+        "pair_apply",
+        "pair_commutator",
+        "pair_compose",
+        "probe_admissible",
+        "rref",
+        "spanning_family",
+        "verify_order",
+    ],
+    "poly": ["Poly", "Poly2", "get_degree_cap", "poly2_str", "set_degree_cap"],
+    "sampling": ["random_admissible_pair", "random_symbol"],
+    "spectra": ["char_eval", "make_character", "separating_witness"],
+    "symbols": [
+        "bracket_via_commutator",
+        "pair_symbol",
+        "poisson_bracket",
+        "rref",
+        "symbol_conditions",
+    ],
+}
+
+
+PAIRS = [(m, n) for m, names in USED.items() for n in names]
+
+
+@pytest.mark.parametrize("module,name", PAIRS, ids=[f"{m}.{n}" for m, n in PAIRS])
+def test_name_resolves(module, name):
+    assert hasattr(importlib.import_module(f"curveglue.{module}"), name)
+
+
+def test_names_are_used_by_the_benchmark():
+    source = "\n".join(p.read_text() for p in sorted(PERFBENCH.glob("*.py")))
+    for names in USED.values():
+        for name in names:
+            assert name in source, f"{name} is listed but perfbench does not use it"
+
+
+def test_condition_caches_expose_lru_statistics():
+    from curveglue import operators, symbols
+
+    for cached in (operators._generate, symbols.symbol_conditions):
+        assert callable(cached.cache_info) and callable(cached.cache_clear)
+
+
+def test_render_paired_takes_parsed_pairs():
+    # The benchmark's DSL probe renders what parse_many_paired returns.
+    from curveglue import dsl
+
+    text = "branch x\nop order=1\ncoeff 1: x\nbranch y\nop order=1\ncoeff 1: y"
+    (parsed,) = dsl.parse_many_paired(text)
+    assert dsl.render_paired(parsed) == text
+
+
+def test_poly_constructors():
+    from curveglue.operators import BranchOp
+    from curveglue.poly import Poly, Poly2
+
+    for cls, name in ((Poly, "of"), (Poly, "monomial"), (Poly2, "of"), (BranchOp, "of")):
+        assert callable(getattr(cls, name))

@@ -228,6 +228,47 @@ class TestDegreeCapOption:
         assert char_eval(c1, u) != char_eval(c2, u)
 
 
+class TestTwoBlockInput:
+    """Two blocks come from one file, or one from each of two files; every
+    file is read the same way, comments and blank lines included."""
+
+    def test_leading_comment_in_each_of_two_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("# first symbol\nsymbol deg=1 m=1: x | y\n")
+        b.write_text("\nsymbol deg=1 m=1: x^2 | y^2  # second\n")
+        status, captured = run(capsys, "bracket", a, b)
+        assert status == 0
+        assert captured.out == "symbol deg=1 m=1: x^2 | y^2\n"
+
+    def test_each_of_two_files_holds_one_block(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        a.write_text("symbol deg=1 m=1: x | y\nsymbol deg=1 m=1: x | y\n")
+        status, captured = run(capsys, "bracket", a, a)
+        assert status == 2
+        assert "found 2" in captured.err
+
+    def test_one_file_holds_two_blocks(self, capsys):
+        status, captured = run(capsys, "compose", DATA / "pair_euler_K1.txt", "--space", "K1")
+        assert status == 2
+        assert "found 1" in captured.err
+
+
+class TestDslExponentCap:
+    """Exponents above the degree cap are rejected while parsing (cap + 1 only)."""
+
+    def test_default_cap(self, capsys, monkeypatch):
+        cap = get_degree_cap()
+        status, captured = run_stdin(capsys, monkeypatch, f"pair m=0: x^{cap + 1} | 0\n", "extend", "-")
+        assert status == 2
+        assert captured.err.startswith(f"error: exponent {cap + 1} exceeds the degree cap {cap}")
+
+    def test_cap_from_option(self, capsys, monkeypatch):
+        status, _ = run_stdin(capsys, monkeypatch, "pair m=0: x^40 | 0\n", "extend", "-", "--max-degree", "40")
+        assert status == 0
+        status, _ = run_stdin(capsys, monkeypatch, "pair m=0: x^41 | 0\n", "extend", "-", "--max-degree", "40")
+        assert status == 2
+
+
 class TestErrorLineNumbers:
     """Errors name the input line, counting comment and blank lines."""
 
@@ -235,7 +276,7 @@ class TestErrorLineNumbers:
         text = "# two symbols\n\nsymbol deg=1 m=1: x | y\nsymbol deg=1 m=1: x | $\n"
         status, captured = run_stdin(capsys, monkeypatch, text, "bracket", "-")
         assert status == 2
-        assert "at line 4" in captured.err
+        assert "at line 4, column 23" in captured.err
 
     def test_witness(self, capsys, monkeypatch):
         text = "# two points\nchar branch=1 at=1\n\nchar branch=3 at=1\n"

@@ -9,7 +9,7 @@ from curveglue import dsl
 from curveglue.errors import DSLSyntaxError
 from curveglue.glued import SpaceSpec, random_glued
 from curveglue.operators import BranchOp
-from curveglue.poly import Poly, Poly2, poly_str
+from curveglue.poly import Poly, Poly2, degree_cap, get_degree_cap, poly2_str, poly_str
 from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.spectra import make_character
 
@@ -38,6 +38,15 @@ class TestPolyExpressions:
         assert err.value.line == 4
         assert err.value.column == 5
 
+    def test_exponent_bounded_by_degree_cap(self):
+        cap = get_degree_cap()
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_poly(f"1 + x^{cap + 1}", line=2)
+        assert (err.value.line, err.value.column) == (2, 7)
+        assert "degree cap" in str(err.value)
+        with degree_cap(cap + 1):
+            assert dsl.parse_poly(f"x^{cap + 1}") == Poly.monomial(cap + 1)
+
     def test_bivariate(self):
         F = dsl.parse_poly2("x*y + 2*x^2 - 1")
         assert F == Poly2.of(Poly.of(-1, 0, 2), Poly.monomial(1))
@@ -53,6 +62,22 @@ class TestBlocks:
         with pytest.raises(DSLSyntaxError) as err:
             dsl.parse_glued("pair m=1: x | 2y", line=3)
         assert err.value.line == 3
+
+    def test_branch_columns_count_from_line_start(self):
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_symbol("symbol deg=1 m=1: x | $")
+        assert err.value.column == 23
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_glued("pair m=1: x | y + $")
+        assert err.value.column == 19
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_glued("pair m=1: x + * | y", line=5)
+        assert (err.value.line, err.value.column) == (5, 15)
+
+    def test_coeff_columns_count_from_line_start(self):
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_branch_op("op order=1\ncoeff 1: x + $")
+        assert (err.value.line, err.value.column) == (2, 14)
 
     def test_symbol(self):
         s = dsl.parse_symbol("symbol deg=1 m=1: x^2 | y^2")
@@ -96,6 +121,26 @@ class TestRenderRoundtrip:
         for _ in range(50):
             p = Poly.of(*[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)])
             assert dsl.parse_poly(poly_str(p)) == p
+
+    def test_poly2(self):
+        # Zero, unit, negative and fractional coefficients, and constant terms.
+        p = Poly.of
+        cases = [
+            Poly2.of(),
+            Poly2.of(p(1)),
+            Poly2.of(p(-1)),
+            Poly2.of(p(0), p(1)),
+            Poly2.of(p(Fraction(-3, 2), 0, -1), p(), p(0, Fraction(1, 3), 1)),
+            Poly2.of(p(), p(), p(2, -1)),
+        ]
+        rng = random.Random(4)
+        for _ in range(50):
+            cases.append(Poly2.of(*(
+                p(*[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(0, 4))])
+                for _ in range(rng.randint(0, 3))
+            )))
+        for F in cases:
+            assert dsl.parse_poly2(poly2_str(F)) == F
 
     def test_glued(self):
         rng = random.Random(5)

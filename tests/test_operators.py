@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from curveglue.errors import AdmissibilityError, OrderError
+from curveglue.errors import AdmissibilityError, OrderError, SpaceMismatch
 from curveglue.glued import SpaceSpec, random_glued, make_glued
 from curveglue.operators import (
     BranchOp,
@@ -268,6 +268,15 @@ class TestPairs:
         ident = make_pair(BranchOp.mult(one), BranchOp.mult(one), K1)
         composed = pair_compose(pair, ident)
         assert (composed.d1, composed.d2) == (pair.d1, pair.d2)
+
+    def test_space_mismatch(self):
+        on_k0, on_k1 = make_pair(XD, XD, K0), make_pair(XD, XD, K1)
+        with pytest.raises(SpaceMismatch, match="spaces differ: K0 vs K1"):
+            pair_apply(on_k0, make_glued(X, X, K1))
+        with pytest.raises(SpaceMismatch, match="spaces differ: K0 vs K1"):
+            pair_compose(on_k0, on_k1)
+        with pytest.raises(SpaceMismatch, match="spaces differ: K1 vs K0"):
+            pair_commutator(on_k1, on_k0)
 
     def test_closure_example(self):
         a = make_pair(XD, XD, K1)
