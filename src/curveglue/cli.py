@@ -168,7 +168,11 @@ def _embed_poly(args) -> Poly | None:
 
 
 def _cmd_extend(args) -> int:
-    glued = dsl.parse_glued(_read(args.file))
+    lines = list(dsl._numbered_lines(_read(args.file)))
+    if len(lines) != 1:
+        raise CurveGlueError(f"expected one pair line, found {len(lines)}")
+    number, line = lines[0]
+    glued = dsl.parse_glued(line, number)
     surface = extend_to_plane(glued, _embed_poly(args))
     text = poly2_str(surface)
     _emit(args, [text], glued.space, result={
@@ -292,10 +296,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args) -> None:
+    """The contact order and every order or depth option stay within the
+    degree cap, so no input asks for a system larger than the cap allows."""
+    cap = get_degree_cap()
+    sizes = {
+        "--order": getattr(args, "order", None),
+        "--degree": getattr(args, "degree", None),
+        "--probe-depth": getattr(args, "probe_depth", None),
+    }
+    space = getattr(args, "space", None)
+    if space is not None:
+        sizes[f"--space {space}: contact order"] = space.m
+    for option, value in sizes.items():
+        if value is not None and value > cap:
+            raise CurveGlueError(
+                f"{option} {value} exceeds the degree cap {cap} (raise it with --max-degree)"
+            )
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with degree_cap(args.max_degree or get_degree_cap()):
+            _check_sizes(args)
             return args.func(args)
     except (CurveGlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -57,6 +57,18 @@ def _rational(text: str, line: int, column: int | None = None) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise DSLSyntaxError(f"zero denominator in {text!r}", line, column) from None
+    except ValueError:  # more digits than int() converts
+        raise DSLSyntaxError(f"number too long ({len(text)} characters)", line, column) from None
+
+
+def _capped(text: str, what: str, line: int, column: int) -> int:
+    """An integer that sizes the problem (exponent, contact order, degree,
+    operator order), at most the degree cap."""
+    value = _rational(text, line, column)
+    cap = get_degree_cap()
+    if value > cap:
+        raise DSLSyntaxError(f"{what} {value} exceeds the degree cap {cap}", line, column)
+    return int(value)
 
 
 class _ExprParser:
@@ -134,9 +146,7 @@ class _ExprParser:
                 tok = self.peek()
                 if tok is None or tok[0] != "num" or "/" in tok[1]:
                     self.fail("expected an integer exponent after '^'")
-                power = int(tok[1])
-                if power > get_degree_cap():
-                    self.fail(f"exponent {power} exceeds the degree cap {get_degree_cap()}")
+                power = _capped(tok[1], "exponent", self.line, tok[2])
                 self.next()
             if var in powers:
                 self.fail(f"variable {var!r} repeated in one term")
@@ -154,7 +164,9 @@ class _ExprParser:
 
 
 def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
+    """Drop the comment and trailing blanks; the indent stays, so columns
+    count from the start of the line."""
+    return line.split("#", 1)[0].rstrip()
 
 
 def parse_terms(text: str, line: int = 1) -> dict[tuple[int, int], Fraction]:
@@ -192,12 +204,21 @@ def parse_poly2(text: str, line: int = 1) -> Poly2:
     return Poly2.of(*slices)
 
 
-_PAIR = re.compile(r"^pair\s+m\s*=\s*(\d+)\s*:\s*(?P<body>.*)$")
-_SYMBOL = re.compile(r"^symbol\s+deg\s*=\s*(\d+)\s+m\s*=\s*(\d+)\s*:\s*(?P<body>.*)$")
-_CHAR = re.compile(r"^char\s+branch\s*=\s*(1|2|sing)\s+at\s*=\s*(-?\d+(?:/\d+)?)\s*$")
-_OP = re.compile(r"^op\s+order\s*=\s*(\d+)\s*$")
-_COEFF = re.compile(r"^coeff\s+(\d+)\s*:\s*(.*)$")
-_BRANCH = re.compile(r"^branch\s+([xy])\s*$")
+_PAIR = re.compile(r"^\s*pair\s+m\s*=\s*(?P<m>\d+)\s*:\s*(?P<body>.*)$")
+_SYMBOL = re.compile(
+    r"^\s*symbol\s+deg\s*=\s*(?P<deg>\d+)\s+m\s*=\s*(?P<m>\d+)\s*:\s*(?P<body>.*)$"
+)
+_CHAR = re.compile(r"^\s*char\s+branch\s*=\s*(1|2|sing)\s+at\s*=\s*(-?\d+(?:/\d+)?)\s*$")
+_OP = re.compile(r"^\s*op\s+order\s*=\s*(?P<order>\d+)\s*$")
+_COEFF = re.compile(r"^\s*coeff\s+(?P<index>\d+)\s*:\s*(.*)$")
+_BRANCH = re.compile(r"^\s*branch\s+([xy])\s*$")
+
+_SIZES = {"m": "contact order", "deg": "degree", "order": "order"}
+
+
+def _size(match: re.Match, group: str, line: int) -> int:
+    """A header field that sizes the problem, at most the degree cap."""
+    return _capped(match.group(group), _SIZES[group], line, match.start(group) + 1)
 
 
 def _branch_polys(match: re.Match, line: int) -> tuple[Poly, Poly]:
@@ -215,7 +236,7 @@ def parse_glued(text: str, line: int = 1) -> GluedFunction:
     match = _PAIR.match(_strip(text))
     if not match:
         raise DSLSyntaxError("expected 'pair m=<INT>: <poly> | <poly>'", line)
-    m = int(match.group(1))
+    m = _size(match, "m", line)
     f, g = _branch_polys(match, line)
     try:
         return make_glued(f, g, SpaceSpec(m))
@@ -227,7 +248,7 @@ def parse_symbol(text: str, line: int = 1) -> SymbolElem:
     match = _SYMBOL.match(_strip(text))
     if not match:
         raise DSLSyntaxError("expected 'symbol deg=<INT> m=<INT>: <poly> | <poly>'", line)
-    degree, m = int(match.group(1)), int(match.group(2))
+    degree, m = _size(match, "deg", line), _size(match, "m", line)
     return make_symbol(degree, *_branch_polys(match, line), SpaceSpec(m))
 
 
@@ -236,7 +257,7 @@ def parse_char(text: str, line: int = 1) -> Character:
     if not match:
         raise DSLSyntaxError("expected 'char branch=<1|2|sing> at=<rational>'", line)
     branch = match.group(1)
-    at = _rational(match.group(2), line)
+    at = _rational(match.group(2), line, match.start(2) + 1)
     return make_character("sing" if branch == "sing" else int(branch), at)
 
 
@@ -263,7 +284,7 @@ def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
     match = _OP.match(line)
     if not match:
         raise DSLSyntaxError("expected 'op order=<INT>'", number)
-    order = int(match.group(1))
+    order = _size(match, "order", number)
     coeffs: dict[int, Poly] = {}
     index += 1
     while index < len(lines):
@@ -271,7 +292,7 @@ def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
         match = _COEFF.match(line)
         if not match:
             break
-        i = int(match.group(1))
+        i = int(_rational(match.group("index"), number, match.start("index") + 1))
         if i > order:
             raise DSLSyntaxError(f"coefficient index {i} exceeds declared order {order}", number)
         if i in coeffs:

@@ -184,43 +184,51 @@ def _variables(m: int, k: int) -> tuple[JetVar, ...]:
     return tuple(out)
 
 
-def rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row-echelon form over the rationals; zero rows dropped,
-    rows sorted by pivot column."""
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivot_rows: list[list[Fraction]] = []
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        target = None
-        for row in rows:
-            if row[col] != 0:
-                target = row
-                break
-        if target is None:
+def rref(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Reduced row-echelon form over the rationals of sparse rows, each a
+    ``{column: value}`` dict over ``ncols`` columns; zero rows dropped,
+    dense rows sorted by pivot column.
+
+    Each row is reduced against the pivot rows found so far, normalised at
+    its leading column and back-substituted into the earlier pivot rows.
+    Pivot rows stay zero left of their pivot and at every other pivot column,
+    so the result is the unique reduced form of the row space."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        for col in [c for c in row if c in pivots]:
+            _subtract(row, row[col], pivots[col])
+        if not row:
             continue
-        rows.remove(target)
-        inv = 1 / target[col]
-        target = [c * inv for c in target]
-        for other in rows:
-            if other[col] != 0:
-                f = other[col]
-                for c in range(ncols):
-                    other[c] -= f * target[c]
-        for other in pivot_rows:
-            if other[col] != 0:
-                f = other[col]
-                for c in range(ncols):
-                    other[c] -= f * target[c]
-        pivot_rows.append(target)
-        pivot_cols.append(col)
-    order = sorted(range(len(pivot_rows)), key=lambda i: pivot_cols[i])
-    return [pivot_rows[i] for i in order]
+        lead = min(row)
+        inv = Fraction(1, row[lead])
+        row = {c: v * inv for c, v in row.items()}
+        for other in pivots.values():
+            if lead in other:
+                _subtract(other, other[lead], row)
+        pivots[lead] = row
+    out = []
+    for lead in sorted(pivots):
+        dense = [Fraction(0)] * ncols
+        for c, v in pivots[lead].items():
+            dense[c] = v
+        out.append(tuple(dense))
+    return out
+
+
+def _subtract(row: dict, factor, pivot: dict) -> None:
+    """row -= factor * pivot, dropping entries that cancel."""
+    for c, v in pivot.items():
+        value = row.get(c, 0) - factor * v
+        if value:
+            row[c] = value
+        else:
+            del row[c]
 
 
 def render_linear(row, variables) -> str:
     """Render a homogeneous constraint row as '... = 0'."""
-    return signed_sum(zip(row, (v.name for v in variables))) + " = 0"
+    return signed_sum((c, v.name) for c, v in zip(row, variables) if c) + " = 0"
 
 
 @dataclass(frozen=True)
@@ -269,31 +277,35 @@ def spanning_family(space: SpaceSpec, max_diag: int, max_branch: int):
         yield ZERO, p
 
 
-def _defining_row(variables, f: Poly, g: Poly, i: int) -> list[Fraction]:
-    """Row of the equation (D1 f)^(i)(0) = (D2 g)^(i)(0) in the jet unknowns.
+def _jet_rows(m: int, k: int, variables):
+    """Sparse rows of (D1 f)^(i)(0) = (D2 g)^(i)(0), i <= m, over the
+    spanning family, empty rows skipped.
 
-    (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0)."""
-    row = []
-    for var in variables:
-        if var.r > i:
-            row.append(Fraction(0))
-            continue
-        p = f if var.branch == "a" else g
-        value = math.comb(i, var.r) * p.deriv_at_zero(var.s + i - var.r)
-        row.append(value if var.branch == "a" else -value)
-    return row
+    (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0), so for
+    f = x^n a row meets only the unknowns with s = n - i + r, each with the
+    value C(i,r) n! (negated on branch b)."""
+    column = {v: c for c, v in enumerate(variables)}
+    for f, g in spanning_family(SpaceSpec(m), max_diag=k + m, max_branch=k + m + 1):
+        # Every member is a monomial x^n on one or both branches.
+        terms = [
+            (branch, p.degree, sign * math.factorial(p.degree))
+            for branch, p, sign in (("a", f, 1), ("b", g, -1))
+            if p
+        ]
+        for i in range(m + 1):
+            row = {}
+            for branch, n, value in terms:
+                for r in range(max(0, i - n), min(i, k + i - n) + 1):
+                    row[column[JetVar(branch, n - i + r, r)]] = math.comb(i, r) * value
+            if row:
+                yield row
 
 
 @lru_cache(maxsize=None)
 def _generate(m: int, k: int) -> ConditionSet:
-    space = SpaceSpec(m)
     variables = _variables(m, k)
-    rows = []
-    for f, g in spanning_family(space, max_diag=k + m, max_branch=k + m + 1):
-        for i in range(m + 1):
-            rows.append(_defining_row(variables, f, g, i))
-    reduced = rref(rows)
-    return ConditionSet(space, k, variables, tuple(tuple(r) for r in reduced))
+    reduced = rref(_jet_rows(m, k, variables), len(variables))
+    return ConditionSet(SpaceSpec(m), k, variables, tuple(reduced))
 
 
 def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:

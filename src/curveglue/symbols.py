@@ -52,13 +52,14 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     variables = full.variables
     other = [i for i, v in enumerate(variables) if v.s != degree]
     top = [i for i, v in enumerate(variables) if v.s == degree]
-    permuted = [[row[i] for i in other] + [row[i] for i in top] for row in full.rows]
-    reduced = rref(permuted)
+    column = {old: new for new, old in enumerate(other + top)}
+    permuted = ({column[c]: v for c, v in enumerate(row) if v} for row in full.rows)
+    reduced = rref(permuted, len(variables))
     n_other = len(other)
     # Reduced rows that vanish on the eliminated columns are already reduced.
-    kept = [row[n_other:] for row in reduced if not any(row[:n_other])]
+    kept = tuple(row[n_other:] for row in reduced if not any(row[:n_other]))
     top_vars = tuple(SymbolVar(variables[i].branch, variables[i].r) for i in top)
-    return ConditionSet(SpaceSpec(m), degree, top_vars, tuple(tuple(r) for r in kept))
+    return ConditionSet(SpaceSpec(m), degree, top_vars, kept)
 
 
 @dataclass(frozen=True)

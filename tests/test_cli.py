@@ -269,6 +269,69 @@ class TestDslExponentCap:
         assert status == 2
 
 
+class TestSizeBound:
+    """The contact order and every order or depth, from an option or from the
+    input, are at most the degree cap (checked at cap + 1 only)."""
+
+    OVER = get_degree_cap() + 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conditions", "--space", f"K{OVER}", "--order", "0"],
+            ["conditions", "--space", "K0", "--order", str(OVER)],
+            ["symbol", DATA / "pair_second_order_K1.txt", "--space", "K1", "--degree", str(OVER)],
+            ["check", DATA / "pair_euler_K1.txt", "--space", "K1", "--probe-depth", str(OVER)],
+            ["nullity", "--space", f"K{OVER}"],
+        ],
+        ids=["space", "order", "degree", "probe-depth", "nullity-space"],
+    )
+    def test_options(self, capsys, argv):
+        status, captured = run(capsys, *argv)
+        assert status == 2
+        assert f"{self.OVER} exceeds the degree cap {self.OVER - 1}" in captured.err
+
+    @pytest.mark.parametrize(
+        "text,argv",
+        [
+            (f"pair m={OVER}: x | x\n", ["extend", "-"]),
+            (f"symbol deg={OVER} m=1: x | y\nsymbol deg=1 m=1: x | y\n", ["bracket", "-"]),
+            (f"symbol deg=1 m={OVER}: x | y\nsymbol deg=1 m=1: x | y\n", ["bracket", "-"]),
+            (
+                f"branch x\nop order={OVER}\ncoeff 1: x\nbranch y\nop order=1\ncoeff 1: y\n",
+                ["check", "-", "--space", "K1"],
+            ),
+        ],
+        ids=["pair-m", "symbol-deg", "symbol-m", "op-order"],
+    )
+    def test_dsl_headers(self, capsys, monkeypatch, text, argv):
+        status, captured = run_stdin(capsys, monkeypatch, text, *argv)
+        assert status == 2
+        assert f"{self.OVER} exceeds the degree cap {self.OVER - 1} at line" in captured.err
+
+    def test_cap_from_option(self, capsys, monkeypatch):
+        assert run(capsys, "conditions", "--space", "K4", "--order", "4", "--max-degree", "4")[0] == 0
+        status, captured = run(capsys, "conditions", "--space", "K5", "--order", "4", "--max-degree", "4")
+        assert status == 2
+        assert "--space K5: contact order 5 exceeds the degree cap 4" in captured.err
+        status, _ = run_stdin(capsys, monkeypatch, "pair m=4: x | x\n", "extend", "-", "--max-degree", "5")
+        assert status == 0
+
+
+class TestInputLines:
+    def test_extend_file_with_leading_comment(self, tmp_path, capsys):
+        path = tmp_path / "pair.txt"
+        path.write_text("# a pair\npair m=1: x | x\n")
+        status, captured = run(capsys, "extend", path)
+        assert status == 0
+        assert captured.out == "x\n"
+
+    def test_extend_needs_one_pair_line(self, capsys, monkeypatch):
+        status, captured = run_stdin(capsys, monkeypatch, "pair m=1: x | x\npair m=1: x | x\n", "extend", "-")
+        assert status == 2
+        assert "expected one pair line, found 2" in captured.err
+
+
 class TestErrorLineNumbers:
     """Errors name the input line, counting comment and blank lines."""
 

@@ -47,6 +47,13 @@ class TestPolyExpressions:
         with degree_cap(cap + 1):
             assert dsl.parse_poly(f"x^{cap + 1}") == Poly.monomial(cap + 1)
 
+    def test_numbers_beyond_int_conversion_limit(self):
+        for text, column in (("1" + "0" * 5000, 1), ("x^1" + "0" * 5000, 3)):
+            with pytest.raises(DSLSyntaxError) as err:
+                dsl.parse_poly(text, line=3)
+            assert (err.value.line, err.value.column) == (3, column)
+            assert "number too long" in str(err.value)
+
     def test_bivariate(self):
         F = dsl.parse_poly2("x*y + 2*x^2 - 1")
         assert F == Poly2.of(Poly.of(-1, 0, 2), Poly.monomial(1))
@@ -78,6 +85,14 @@ class TestBlocks:
         with pytest.raises(DSLSyntaxError) as err:
             dsl.parse_branch_op("op order=1\ncoeff 1: x + $")
         assert (err.value.line, err.value.column) == (2, 14)
+
+    def test_indented_columns_count_from_line_start(self):
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_branch_op("op order=1\n  coeff 1: x + $")
+        assert (err.value.line, err.value.column) == (2, 16)
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_dsl("\n   pair m=1: x | y + $")
+        assert (err.value.line, err.value.column) == (2, 22)
 
     def test_symbol(self):
         s = dsl.parse_symbol("symbol deg=1 m=1: x^2 | y^2")

@@ -1,9 +1,12 @@
 """Branch operators, delta chains, condition generation and admissibility."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveglue.errors import AdmissibilityError, OrderError, SpaceMismatch
 from curveglue.glued import SpaceSpec, random_glued, make_glued
@@ -22,8 +25,10 @@ from curveglue.operators import (
     pair_compose,
     probe_admissible,
     rref,
+    spanning_family,
     verify_order,
 )
+from curveglue.operators import _generate, _variables
 from curveglue.poly import Poly, degree_cap
 from curveglue.sampling import random_admissible_pair
 
@@ -145,8 +150,9 @@ def _named_row(conditions, terms):
 
 
 def _same_row_space(conditions, expected_rows):
-    ours = [list(r) for r in conditions.rows]
-    return rref(ours) == rref([list(r) for r in expected_rows])
+    n = len(conditions.variables)
+    ours = rref((dict(enumerate(r)) for r in conditions.rows), n)
+    return ours == rref((dict(enumerate(r)) for r in expected_rows), n)
 
 
 class TestGeneratedConditionsMatchHandTables:
@@ -188,6 +194,63 @@ class TestGeneratedConditionsMatchHandTables:
         for k, rows in tables.items():
             conditions = generate_conditions(K1, k)
             assert _same_row_space(conditions, [_named_row(conditions, t) for t in rows]), k
+
+
+def _gauss_jordan(rows, ncols):
+    """Textbook dense Gauss-Jordan elimination over the rationals: pivot rows
+    sorted by pivot column, zero rows dropped."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    out = []
+    for col in range(ncols):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        pivot = [v / pivot[col] for v in pivot]
+        for row in rows + out:
+            if row[col]:
+                factor = row[col]
+                row[:] = [a - factor * b for a, b in zip(row, pivot)]
+        out.append(pivot)
+    return [tuple(row) for row in out]
+
+
+def _defining_row(variables, f, g, i):
+    """Dense row of the equation (D1 f)^(i)(0) = (D2 g)^(i)(0) in the jet unknowns.
+
+    (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0)."""
+    row = []
+    for var in variables:
+        if var.r > i:
+            row.append(Fraction(0))
+            continue
+        p = f if var.branch == "a" else g
+        value = math.comb(i, var.r) * p.deriv_at_zero(var.s + i - var.r)
+        row.append(value if var.branch == "a" else -value)
+    return row
+
+
+class TestSparseElimination:
+    """The sparse rows and the sparse rref, checked against the dense row
+    build over the spanning family and a dense elimination."""
+
+    def test_generated_rows_match_dense_build(self):
+        for m in range(5):
+            for k in range(7):
+                variables = _variables(m, k)
+                family = spanning_family(SpaceSpec(m), max_diag=k + m, max_branch=k + m + 1)
+                dense = [_defining_row(variables, f, g, i) for f, g in family for i in range(m + 1)]
+                assert _generate(m, k).rows == tuple(_gauss_jordan(dense, len(variables))), (m, k)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_rref_matches_dense_gauss_jordan(self, data):
+        ncols = data.draw(st.integers(min_value=1, max_value=6))
+        entries = st.lists(st.integers(-4, 4) | st.just(0), min_size=ncols, max_size=ncols)
+        rows = data.draw(st.lists(entries, max_size=8))
+        rows += [[0] * ncols] + rows[:1]  # a zero row and a duplicate row
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+        assert rref(sparse, ncols) == _gauss_jordan(rows, ncols)
 
 
 class TestCheckAdmissible:
