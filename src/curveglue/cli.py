@@ -101,6 +101,15 @@ def _load_two(paths: list[str], parse_many):
 def _cmd_check(args) -> int:
     pair = dsl.parse_paired(_read(args.file))
     order = args.order if args.order is not None else pair.declared_order
+    depth = None
+    if args.probe_depth is not None:
+        depth = args.probe_depth or default_probe_degree(args.space, order)
+        # (D f)^(i)(0), i <= m, reads f up to x^(k+m); a shallower probe misses it.
+        if depth < order + args.space.m:
+            raise CurveGlueError(
+                f"--probe-depth {depth} is below the minimum {order + args.space.m} "
+                f"(order {order} plus contact order {args.space.m})"
+            )
     report = check_admissible(pair.d1, pair.d2, args.space, order)
     verdict = "admissible" if report.ok else "inadmissible"
     lines = [f"space {args.space}, order {order}: "
@@ -108,8 +117,7 @@ def _cmd_check(args) -> int:
     for v in report.violations:
         lines.append(f"  violated: {v.constraint}   (lhs = {v.lhs}, rhs = 0)")
     probe = None
-    if args.probe_depth is not None:
-        depth = args.probe_depth or default_probe_degree(args.space, order)
+    if depth is not None:
         probed = probe_admissible(pair.d1, pair.d2, args.space, depth)
         probe = {"depth": depth, "verdict": "admissible" if probed else "inadmissible"}
         lines.append(f"probe (depth {depth}): " + ("admissible" if probed else "NOT admissible"))
@@ -257,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         const=0,
         default=None,
         metavar="D",
-        help="also run the brute-force probe (0 or no value = default depth)",
+        help="also run the brute-force probe, D >= order + m (0 or no value = default depth)",
     )
 
     for verb in ("compose", "commutator"):

@@ -17,9 +17,8 @@ finite linear system:
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -92,42 +91,45 @@ class BranchOp:
         return render_op(self)
 
 
-ZERO_OP = BranchOp(())
+def _leibniz(op_a: BranchOp, op_b: BranchOp, first: int) -> BranchOp:
+    """The terms r >= first of a_i d^i (b_j d^j .) = a_i sum_r C(i,r) b_j^(r) d^(i-r+j).
 
-
-def compose(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
-    """Operator composition: apply op_b first, then op_a.
-
-    Uses a_i d^i (b_j d^j .) = a_i sum_r C(i,r) b_j^(r) d^(i-r+j).
-    """
-    if op_a.is_zero or op_b.is_zero:
-        return ZERO_OP
+    Each product puts C(i,r) b_j^(r) first, so that ``Poly.__mul__`` skips
+    its zero coefficients: in a delta step it is a scaled monomial."""
     out: dict[int, Poly] = {}
     for i, a in enumerate(op_a.coeffs):
         if a.is_zero:
             continue
         for j, b in enumerate(op_b.coeffs):
-            if b.is_zero:
-                continue
             b_deriv = b
             for r in range(i + 1):
                 if r:
                     b_deriv = b_deriv.derive()
                 if b_deriv.is_zero:
                     break
-                d = i - r + j
-                term = a * (math.comb(i, r) * b_deriv)
-                out[d] = out.get(d, ZERO) + term
+                if r >= first:
+                    d = i - r + j
+                    out[d] = out.get(d, ZERO) + (math.comb(i, r) * b_deriv) * a
     top = max(out) if out else -1
     return BranchOp.of(*(out.get(d, ZERO) for d in range(top + 1)))
 
 
+def compose(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
+    """Operator composition: apply op_b first, then op_a."""
+    return _leibniz(op_a, op_b, 0)
+
+
 def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
-    return compose(op_a, op_b) - compose(op_b, op_a)
+    """[op_a, op_b] = op_a op_b - op_b op_a.  The r = 0 terms of the two
+    compositions, a_i b_j d^(i+j), cancel, so they are never formed."""
+    return _leibniz(op_a, op_b, 1) - _leibniz(op_b, op_a, 1)
 
 
 def delta_reduce(op: BranchOp, a: Poly) -> BranchOp:
-    """The order-lowering map: commutator of op with multiplication by a."""
+    """The order-lowering map: commutator of op with multiplication by a.
+
+    For a = x^n this is the closed form
+    [a_i d^i, x^n] = sum_{r>=1} C(i,r) n!/(n-r)! x^(n-r) a_i d^(i-r)."""
     return commutator(op, BranchOp.mult(a))
 
 
@@ -136,18 +138,23 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
 
     Chains run over multisets of monomial exponents 1..probe_degree
     (delta by a constant is identically zero, so exponent 0 adds nothing).
-    """
+    The multisets are walked depth-first in non-decreasing order, so chains
+    with a common prefix reduce that prefix once."""
     if k < 0:
         return op.is_zero
-    for exps in itertools.combinations_with_replacement(range(1, probe_degree + 1), k + 1):
-        reduced = op
-        for n in exps:
-            reduced = delta_reduce(reduced, Poly.monomial(n))
-            if reduced.is_zero:
-                break
-        if not reduced.is_zero:
+
+    def vanishes(reduced: BranchOp, steps: int, lowest: int) -> bool:
+        # Every chain of ``steps`` more deltas with exponents >= lowest.
+        if reduced.is_zero:
+            return True
+        if not steps:
             return False
-    return True
+        return all(
+            vanishes(delta_reduce(reduced, Poly.monomial(n)), steps - 1, n)
+            for n in range(lowest, probe_degree + 1)
+        )
+
+    return vanishes(op, k + 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +191,10 @@ def _variables(m: int, k: int) -> tuple[JetVar, ...]:
     return tuple(out)
 
 
-def rref(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+def rref(rows) -> list[dict[int, Fraction]]:
     """Reduced row-echelon form over the rationals of sparse rows, each a
-    ``{column: value}`` dict over ``ncols`` columns; zero rows dropped,
-    dense rows sorted by pivot column.
+    ``{column: value}`` dict; zero rows dropped, the sparse pivot rows
+    returned in order of pivot column.
 
     Each row is reduced against the pivot rows found so far, normalised at
     its leading column and back-substituted into the earlier pivot rows.
@@ -207,13 +214,7 @@ def rref(rows, ncols: int) -> list[tuple[Fraction, ...]]:
             if lead in other:
                 _subtract(other, other[lead], row)
         pivots[lead] = row
-    out = []
-    for lead in sorted(pivots):
-        dense = [Fraction(0)] * ncols
-        for c, v in pivots[lead].items():
-            dense[c] = v
-        out.append(tuple(dense))
-    return out
+    return [pivots[lead] for lead in sorted(pivots)]
 
 
 def _subtract(row: dict, factor, pivot: dict) -> None:
@@ -242,12 +243,28 @@ class Violation:
 @dataclass(frozen=True)
 class ConditionSet:
     """Reduced linear system on the coefficient jets at 0 that is equivalent
-    to admissibility at order k on the given space."""
+    to admissibility at order k on the given space.
+
+    ``rows`` are dense; ``sparse_rows`` are the same rows as
+    ``{column: value}`` dicts, shared through the condition caches, so
+    callers must not mutate them.  Build through :meth:`of`."""
 
     space: SpaceSpec
     order: int
     variables: tuple[JetVar, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+    sparse_rows: tuple[dict[int, Fraction], ...] = field(compare=False, repr=False)
+
+    @staticmethod
+    def of(space: SpaceSpec, order: int, variables, sparse_rows) -> "ConditionSet":
+        zero = (Fraction(0),) * len(variables)
+        rows = []
+        for row in sparse_rows:
+            dense = list(zero)
+            for c, v in row.items():
+                dense[c] = v
+            rows.append(tuple(dense))
+        return ConditionSet(space, order, variables, tuple(rows), tuple(sparse_rows))
 
     @property
     def rendered(self) -> tuple[str, ...]:
@@ -256,8 +273,8 @@ class ConditionSet:
     def violations(self, values) -> tuple[Violation, ...]:
         """The rows the given unknown values fail; only these are rendered."""
         out = []
-        for row in self.rows:
-            lhs = sum((c * values[v] for c, v in zip(row, self.variables) if c), Fraction(0))
+        for row, sparse in zip(self.rows, self.sparse_rows):
+            lhs = sum((c * values[self.variables[col]] for col, c in sparse.items()), Fraction(0))
             if lhs:
                 out.append(Violation(render_linear(row, self.variables), lhs))
         return tuple(out)
@@ -304,8 +321,7 @@ def _jet_rows(m: int, k: int, variables):
 @lru_cache(maxsize=None)
 def _generate(m: int, k: int) -> ConditionSet:
     variables = _variables(m, k)
-    reduced = rref(_jet_rows(m, k, variables), len(variables))
-    return ConditionSet(SpaceSpec(m), k, variables, tuple(reduced))
+    return ConditionSet.of(SpaceSpec(m), k, variables, rref(_jet_rows(m, k, variables)))
 
 
 def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:

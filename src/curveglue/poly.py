@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar, Token
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,30 +19,30 @@ from .errors import DegreeCapExceeded, ExactDivisionError
 
 NEG_INF = float("-inf")
 
-_degree_cap = 32
+# A context variable, so each thread and each asyncio task keeps its own cap.
+_degree_cap: ContextVar[int] = ContextVar("degree_cap", default=32)
 
 
 def get_degree_cap() -> int:
-    return _degree_cap
+    return _degree_cap.get()
 
 
-def set_degree_cap(cap: int) -> None:
-    """Set the global bound on result degrees (memory guard, default 32)."""
-    global _degree_cap
+def set_degree_cap(cap: int) -> Token:
+    """Set the bound on result degrees in the current context (memory
+    guard, default 32); the returned token undoes it."""
     if cap < 1:
         raise ValueError("degree cap must be positive")
-    _degree_cap = cap
+    return _degree_cap.set(cap)
 
 
 @contextmanager
 def degree_cap(cap: int):
     """Temporarily raise/lower the degree cap."""
-    old = _degree_cap
-    set_degree_cap(cap)
+    token = set_degree_cap(cap)
     try:
         yield
     finally:
-        set_degree_cap(old)
+        _degree_cap.reset(token)
 
 
 def frac(value) -> Fraction:
@@ -118,8 +119,9 @@ class Poly:
         if self.is_zero or other.is_zero:
             return ZERO
         deg = len(self.coeffs) + len(other.coeffs) - 2
-        if deg > _degree_cap:
-            raise DegreeCapExceeded(deg, _degree_cap)
+        cap = _degree_cap.get()
+        if deg > cap:
+            raise DegreeCapExceeded(deg, cap)
         out = [Fraction(0)] * (deg + 1)
         for i, a in enumerate(self.coeffs):
             if a:

@@ -25,19 +25,13 @@ def _random_fraction(rng: random.Random) -> Fraction:
 def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> dict:
     """A random point of the solution space of the reduced system."""
     variables = conditions.variables
-    pivots = {}
-    for row in conditions.rows:
-        lead = next(i for i, c in enumerate(row) if c)
-        pivots[lead] = row
+    pivots = {min(row): row for row in conditions.sparse_rows}
     values = [None] * len(variables)
     for i in range(len(variables)):
         if i not in pivots:
             values[i] = _random_fraction(rng)
     for lead, row in pivots.items():
-        values[lead] = -sum(
-            (row[j] * values[j] for j in range(len(variables)) if j != lead and row[j]),
-            Fraction(0),
-        )
+        values[lead] = -sum((c * values[j] for j, c in row.items() if j != lead), Fraction(0))
     return dict(zip(variables, values))
 
 

@@ -53,13 +53,13 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     other = [i for i, v in enumerate(variables) if v.s != degree]
     top = [i for i, v in enumerate(variables) if v.s == degree]
     column = {old: new for new, old in enumerate(other + top)}
-    permuted = ({column[c]: v for c, v in enumerate(row) if v} for row in full.rows)
-    reduced = rref(permuted, len(variables))
+    reduced = rref({column[c]: v for c, v in row.items()} for row in full.sparse_rows)
     n_other = len(other)
-    # Reduced rows that vanish on the eliminated columns are already reduced.
-    kept = tuple(row[n_other:] for row in reduced if not any(row[:n_other]))
+    # A pivot row is zero left of its pivot, so it vanishes on the eliminated
+    # columns exactly when its pivot is a top column; such rows are reduced.
+    kept = [{c - n_other: v for c, v in row.items()} for row in reduced if min(row) >= n_other]
     top_vars = tuple(SymbolVar(variables[i].branch, variables[i].r) for i in top)
-    return ConditionSet(SpaceSpec(m), degree, top_vars, kept)
+    return ConditionSet.of(SpaceSpec(m), degree, top_vars, kept)
 
 
 @dataclass(frozen=True)

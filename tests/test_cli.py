@@ -13,7 +13,7 @@ import pytest
 from curveglue import dsl
 from curveglue.cli import main
 from curveglue.glued import SpaceSpec
-from curveglue.operators import generate_conditions
+from curveglue.operators import default_probe_degree, generate_conditions
 from curveglue.poly import get_degree_cap
 from curveglue.spectra import char_eval
 from curveglue.symbols import SymbolElem
@@ -226,6 +226,46 @@ class TestDegreeCapOption:
         u = dsl.parse_glued(captured.out)
         c1, c2 = (dsl.parse_char(line) for line in text.splitlines())
         assert char_eval(c1, u) != char_eval(c2, u)
+
+
+class TestProbeDepth:
+    """(D f)^(i)(0), i <= m, reads f only up to x^(k+m), so the probe needs
+    depth k + m at least; 0 or no value still means the default depth."""
+
+    @pytest.mark.parametrize(
+        "name,space,depth,least",
+        [("pair_dd_K0.txt", "K0", -1, 1), ("pair_euler_K1.txt", "K1", 1, 2)],
+    )
+    def test_shallow_depth_rejected(self, capsys, name, space, depth, least):
+        argv = ("check", DATA / name, "--space", space, "--probe-depth", depth)
+        status, captured = run(capsys, *argv)
+        assert status == 2
+        assert captured.out == ""
+        assert f"--probe-depth {depth} is below the minimum {least}" in captured.err
+
+    @pytest.mark.parametrize(
+        "name,space",
+        [
+            ("pair_dd_K0.txt", "K0"),
+            ("pair_euler_K1.txt", "K1"),
+            ("pair_normal_form.txt", "K1"),
+            ("pair_second_order_K1.txt", "K1"),
+        ],
+    )
+    def test_minimum_depth_agrees_with_check(self, capsys, name, space):
+        argv = ["check", DATA / name, "--space", space, "--json"]
+        payload = json.loads(run(capsys, *argv)[1].out)
+        least = payload["order"] + int(space[1:])
+        status, captured = run(capsys, *argv, "--probe-depth", least)
+        payload = json.loads(captured.out)
+        assert payload["probe"] == {"depth": least, "verdict": payload["verdict"]}
+        assert status == (0 if payload["verdict"] == "admissible" else 1)
+
+    @pytest.mark.parametrize("option", [[], ["0"]])
+    def test_zero_or_bare_means_default(self, capsys, option):
+        argv = ["check", DATA / "pair_euler_K1.txt", "--space", "K1", "--json", "--probe-depth"]
+        payload = json.loads(run(capsys, *argv, *option)[1].out)
+        assert payload["probe"]["depth"] == default_probe_degree(SpaceSpec(1), 1)
 
 
 class TestTwoBlockInput:

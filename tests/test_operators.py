@@ -1,5 +1,6 @@
 """Branch operators, delta chains, condition generation and admissibility."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,7 +30,7 @@ from curveglue.operators import (
     verify_order,
 )
 from curveglue.operators import _generate, _variables
-from curveglue.poly import Poly, degree_cap
+from curveglue.poly import Poly, degree_cap, get_degree_cap
 from curveglue.sampling import random_admissible_pair
 
 X = Poly.monomial(1)
@@ -46,6 +47,33 @@ def random_op(rng, k, max_degree=4):
             for _ in range(k + 1)
         ]
     )
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+branch_ops = st.lists(
+    st.lists(small_fractions, max_size=4).map(lambda cs: Poly.of(*cs)), max_size=4
+).map(lambda coeffs: BranchOp.of(*coeffs))
+
+
+def _two_compositions(op_a, op_b):
+    """The commutator as the difference of two full compositions."""
+    return compose(op_a, op_b) - compose(op_b, op_a)
+
+
+def _chain_by_chain(op, k, probe_degree):
+    """verify_order reducing every exponent multiset from the start, with
+    each delta step as two full compositions."""
+    if k < 0:
+        return op.is_zero
+    for exps in itertools.combinations_with_replacement(range(1, probe_degree + 1), k + 1):
+        reduced = op
+        for n in exps:
+            reduced = _two_compositions(reduced, BranchOp.mult(Poly.monomial(n)))
+            if reduced.is_zero:
+                break
+        if not reduced.is_zero:
+            return False
+    return True
 
 
 class TestApply:
@@ -78,6 +106,15 @@ class TestCompose:
         assert compose(op, ident) == op
         assert compose(ident, op) == op
 
+    @settings(max_examples=200)
+    @given(branch_ops, branch_ops)
+    def test_matches_sequential_apply(self, a, b):
+        with degree_cap(64):
+            composed = compose(a, b)
+            for n in range(6):
+                p = Poly.monomial(n)
+                assert composed.apply(p) == a.apply(b.apply(p))
+
     def test_associative(self):
         rng = random.Random(3)
         with degree_cap(64):
@@ -105,6 +142,12 @@ class TestCommutator:
                 a, b = random_op(rng, ka, 3), random_op(rng, kb, 3)
                 assert commutator(a, b).order <= ka + kb - 1
 
+    @settings(max_examples=200)
+    @given(branch_ops, branch_ops)
+    def test_matches_two_compositions(self, a, b):
+        with degree_cap(64):
+            assert commutator(a, b) == _two_compositions(a, b)
+
 
 class TestDeltaChains:
     def test_delta_x_of_derivative(self):
@@ -129,15 +172,37 @@ class TestDeltaChains:
 
     def test_true_order_detected_on_random_ops(self):
         rng = random.Random(29)
-        with degree_cap(128):
-            for _ in range(20):
-                k = rng.randint(1, 3)
+        for _ in range(20):
+            k = rng.randint(1, 3)
+            op = random_op(rng, k, 3)
+            while op.coeff(k).is_zero:
                 op = random_op(rng, k, 3)
-                while op.coeff(k).is_zero:
-                    op = random_op(rng, k, 3)
-                depth = 2 * k + 2
-                assert verify_order(op, k, probe_degree=depth)
-                assert not verify_order(op, k - 1, probe_degree=depth)
+            depth = 2 * k + 2
+            assert verify_order(op, k, probe_degree=depth)
+            assert not verify_order(op, k - 1, probe_degree=depth)
+
+    def test_matches_chain_by_chain_loop(self):
+        rng = random.Random(43)
+        verdicts = set()
+        with degree_cap(128):
+            for _ in range(60):
+                op = random_op(rng, rng.randint(0, 4), 3)
+                k, depth = rng.randint(-1, 3), rng.randint(0, 6)
+                expected = _chain_by_chain(op, k, depth)
+                assert verify_order(op, k, depth) == expected, (op, k, depth)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_degree_four_coefficients_within_default_cap(self, k):
+        # Each delta by x^8 adds at most 7 to the coefficient degree and
+        # takes at least 1 from the order, so every reduced operator stays
+        # within degree 4 + 7 * 4 = 32.  The r = 0 products of two full
+        # compositions add 8 more: degree 33 at the fourth step.
+        op = BranchOp.of(*(Poly.of(s + 1, -1, Fraction(1, 2), 2, 1) for s in range(k + 1)))
+        assert get_degree_cap() == 32
+        assert verify_order(op, k, probe_degree=8)
+        assert not verify_order(op, k - 1, probe_degree=8)
 
 
 def _named_row(conditions, terms):
@@ -150,9 +215,8 @@ def _named_row(conditions, terms):
 
 
 def _same_row_space(conditions, expected_rows):
-    n = len(conditions.variables)
-    ours = rref((dict(enumerate(r)) for r in conditions.rows), n)
-    return ours == rref((dict(enumerate(r)) for r in expected_rows), n)
+    ours = rref(dict(enumerate(r)) for r in conditions.rows)
+    return ours == rref(dict(enumerate(r)) for r in expected_rows)
 
 
 class TestGeneratedConditionsMatchHandTables:
@@ -250,7 +314,8 @@ class TestSparseElimination:
         rows = data.draw(st.lists(entries, max_size=8))
         rows += [[0] * ncols] + rows[:1]  # a zero row and a duplicate row
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-        assert rref(sparse, ncols) == _gauss_jordan(rows, ncols)
+        dense = [tuple(row.get(c, 0) for c in range(ncols)) for row in rref(sparse)]
+        assert dense == _gauss_jordan(rows, ncols)
 
 
 class TestCheckAdmissible:
@@ -281,6 +346,22 @@ class TestProbe:
 
     def test_euler_on_cross(self):
         assert probe_admissible(XD, XD, K0, default_probe_degree(K0, 1))
+
+    def test_minimum_depth_agrees_with_check(self):
+        # (D f)^(i)(0), i <= m, reads f only up to x^(k+m).
+        rng = random.Random(103)
+        verdicts = set()
+        for _ in range(100):
+            space = SpaceSpec(rng.randint(0, 2))
+            k = rng.randint(0, 4)
+            pair = random_admissible_pair(space, k, rng)
+            d1, d2 = pair.d1, pair.d2
+            if rng.randint(0, 1):
+                d1 = d1 + BranchOp.derivative(Poly.monomial(rng.randint(0, space.m)), rng.randint(0, k))
+            generated = check_admissible(d1, d2, space, k).ok
+            assert probe_admissible(d1, d2, space, k + space.m) == generated
+            verdicts.add(generated)
+        assert verdicts == {True, False}
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(101)

@@ -1,6 +1,8 @@
 """Exact polynomial layer: arithmetic, jets, Hadamard splitting, division."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveglue.errors import DegreeCapExceeded, ExactDivisionError
-from curveglue.poly import Jet, Poly, degree_cap, frac
+from curveglue.poly import Jet, Poly, degree_cap, frac, get_degree_cap
 
 X = Poly.monomial(1)
 
@@ -43,6 +45,60 @@ class TestArithmetic:
         with degree_cap(4):
             with pytest.raises(DegreeCapExceeded):
                 Poly.monomial(3) * Poly.monomial(3)
+
+    def test_degree_cap_scopes_are_per_thread(self):
+        barrier = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def worker(cap):
+            with degree_cap(cap):
+                barrier.wait()  # both scopes are open from here
+                seen[cap] = [get_degree_cap()]
+                try:
+                    Poly.monomial(3) * Poly.monomial(3)
+                    seen[cap].append("multiplied")
+                except DegreeCapExceeded:
+                    seen[cap].append("capped")
+                barrier.wait()  # neither scope closes before both have read
+            seen[cap].append(get_degree_cap())
+
+        threads = [threading.Thread(target=worker, args=(cap,)) for cap in (4, 64)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == {4: [4, "capped", 32], 64: [64, "multiplied", 32]}
+        assert get_degree_cap() == 32
+
+    def test_degree_cap_scopes_under_thread_switching(self):
+        # More threads than cores, switching often, each entering and leaving
+        # its own scope: a shared cap would show another thread's value.
+        caps = range(4, 12)
+        barrier = threading.Barrier(len(caps), timeout=10)
+        wrong = []
+
+        def worker(cap):
+            barrier.wait()
+            for _ in range(300):
+                with degree_cap(cap):
+                    if get_degree_cap() != cap:
+                        wrong.append(cap)
+                if get_degree_cap() != 32:
+                    wrong.append(32)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(cap,)) for cap in caps]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
     @settings(max_examples=200)
     @given(polys(), polys(), polys())
