@@ -280,6 +280,8 @@ def _numbered_lines(text: str):
 
 
 def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
+    if index >= len(lines):
+        raise DSLSyntaxError("expected 'op order=<INT>' after this line", lines[-1][0])
     number, line = lines[index]
     match = _OP.match(line)
     if not match:

@@ -1,9 +1,13 @@
 """Exact polynomial arithmetic over the rationals.
 
-Univariate polynomials with ``Fraction`` coefficients stand in for smooth
+Univariate polynomials with rational coefficients stand in for smooth
 functions on a single branch.  Every condition checked by this package is a
 finite-jet condition at 0, so polynomials witness all relevant behaviours
-exactly; there is no floating point anywhere.  A single bivariate type
+exactly; there is no floating point anywhere.  A :class:`Poly` stores integer
+numerators over one positive common denominator in lowest terms, so its
+arithmetic runs on Python ints; ``Fraction`` appears only at the boundary
+(``coeffs``, ``coeff``, ``jet``, evaluation and rendering), and ``coeffs``
+still returns a tuple of ``Fraction``.  A single bivariate type
 (:class:`Poly2`) supports the plane-extension/restriction correspondence.
 """
 
@@ -55,93 +59,127 @@ def frac(value) -> Fraction:
 
 
 def _trim(coeffs):
-    """Drop trailing zeros; Fraction and Poly entries are both falsy at zero."""
+    """Drop trailing zeros; int and Poly entries are both falsy at zero."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
     return tuple(coeffs[:n])
 
 
-@dataclass(frozen=True)
-class Poly:
-    """Univariate polynomial; ``coeffs[i]`` multiplies ``x**i``.
+def _poly(nums, den: int) -> "Poly":
+    """The canonical Poly with value ``nums[i] / den`` at ``x**i`` (den > 0):
+    trailing zeros trimmed, then one gcd brings the fraction to lowest terms."""
+    nums = _trim(nums)
+    if not nums:
+        return ZERO
+    g = math.gcd(den, *nums) if den != 1 else 1
+    if g != 1:
+        return Poly(tuple(c // g for c in nums), den // g)
+    return Poly(nums, den)
 
-    The coefficient tuple carries no trailing zeros, so the zero polynomial
-    is the empty tuple and ``degree`` is -inf for it.
+
+@dataclass(frozen=True, slots=True)
+class Poly:
+    """Univariate polynomial; ``coeffs[i] == nums[i] / den`` multiplies ``x**i``.
+
+    The form is canonical: ``den`` is positive, ``gcd(den, *nums)`` is 1 and
+    ``nums`` carries no trailing zero, so the zero polynomial is ``Poly((), 1)``
+    and ``degree`` is -inf for it.  Equal values therefore have equal fields,
+    and the dataclass equality and hash are value equality.
     """
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     @staticmethod
     def of(*coeffs) -> "Poly":
-        return Poly(_trim([frac(c) for c in coeffs]))
+        fracs = [frac(c) for c in coeffs]
+        den = math.lcm(*[c.denominator for c in fracs])
+        return _poly([c.numerator * (den // c.denominator) for c in fracs], den)
 
     @staticmethod
     def monomial(power: int, coefficient=1) -> "Poly":
         c = frac(coefficient)
         if c == 0:
             return ZERO
-        return Poly((Fraction(0),) * power + (c,))
+        return Poly((0,) * power + (c.numerator,), c.denominator)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, n: int) -> Fraction:
-        return self.coeffs[n] if 0 <= n < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[n], self.den) if 0 <= n < len(self.nums) else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        a, da, b, db = self.nums, self.den, other.nums, other.den
+        if da != db:
+            den = math.lcm(da, db)
+            a = [c * (den // da) for c in a]
+            b = [c * (den // db) for c in b]
+            da = den
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(_trim(out))
+        return _poly(out, da)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
+            if type(other) is int:
+                return _poly([other * c for c in self.nums], self.den)
             c = frac(other)
-            return Poly(_trim([c * a for a in self.coeffs]))
-        if self.is_zero or other.is_zero:
+            return _poly([c.numerator * a for a in self.nums], self.den * c.denominator)
+        a, b = self.nums, other.nums
+        if not a or not b:
             return ZERO
-        deg = len(self.coeffs) + len(other.coeffs) - 2
+        deg = len(a) + len(b) - 2
         cap = _degree_cap.get()
         if deg > cap:
             raise DegreeCapExceeded(deg, cap)
-        out = [Fraction(0)] * (deg + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(_trim(out))
+        out = [0] * (deg + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(out, self.den * other.den)
 
     def __rmul__(self, other):
         return self * other
 
     def derive(self) -> "Poly":
         """Formal derivative."""
-        return Poly(tuple(c * i for i, c in enumerate(self.coeffs) if i))
+        return _poly([c * i for i, c in enumerate(self.nums) if i], self.den)
 
     def __call__(self, t) -> Fraction:
+        """Value at ``t = p/q``: integer Horner on ``q**d * N(p/q)``, one
+        Fraction at the end."""
         t = frac(t)
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * t + c
-        return value
+        p, q = t.numerator, t.denominator
+        value, power = 0, 1  # value / power is the Horner partial sum
+        for c in reversed(self.nums):
+            power *= q
+            value = value * p + c * power
+        return Fraction(value, self.den * power)
 
     def deriv_at_zero(self, r: int) -> Fraction:
         """r-th derivative at 0, i.e. r! times the r-th coefficient."""
@@ -155,41 +193,43 @@ class Poly:
         """Multiply by x**r."""
         if self.is_zero:
             return ZERO
-        return Poly((Fraction(0),) * r + self.coeffs)
+        return Poly((0,) * r + self.nums, self.den)
 
     def hadamard_split(self, r: int) -> tuple["Poly", "Poly"]:
         """Split as head + x**r * tail with deg(head) < r; always exact."""
         if r < 1:
             raise ValueError("split order must be positive")
-        head = Poly(_trim(self.coeffs[:r]))
-        tail = Poly(self.coeffs[r:])
-        return head, tail
+        return _poly(self.nums[:r], self.den), _poly(self.nums[r:], self.den)
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
-        """Exact quotient self / divisor; nonzero remainders are an error."""
+        """Exact quotient self / divisor; nonzero remainders are an error.
+
+        Integer pseudo-division: scaling the numerators by ``|lead|**qlen``
+        up front makes every quotient step an exact integer division."""
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero:
             return ZERO
-        rem = list(self.coeffs)
-        d = divisor.coeffs
+        d = divisor.nums
         lead = d[-1]
-        qlen = len(rem) - len(d) + 1
-        quot = [Fraction(0)] * max(qlen, 0)
+        qlen = len(self.nums) - len(d) + 1
+        scale = abs(lead) ** max(qlen, 0)
+        rem = [c * scale for c in self.nums]
+        quot = [0] * max(qlen, 0)
         for i in range(qlen - 1, -1, -1):
-            q = rem[i + len(d) - 1] / lead
+            q = rem[i + len(d) - 1] // lead
             quot[i] = q
             if q:
-                for j, c in enumerate(d):
-                    rem[i + j] -= q * c
-        remainder = Poly(_trim(rem))
+                for j, c in enumerate(d, i):
+                    rem[j] -= q * c
+        remainder = _poly(rem, scale * self.den)
         if not remainder.is_zero:
             raise ExactDivisionError(remainder)
-        return Poly(_trim(quot))
+        return _poly([q * divisor.den for q in quot], scale * self.den)
 
     def order_of_zero(self):
         """Index of the first nonzero coefficient (inf for the zero poly)."""
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c:
                 return i
         return math.inf
@@ -201,7 +241,7 @@ class Poly:
         return f"Poly({poly_str(self)})"
 
 
-ZERO = Poly(())
+ZERO = Poly((), 1)
 
 
 def signed_sum(terms) -> str:

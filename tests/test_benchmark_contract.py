@@ -100,3 +100,20 @@ def test_poly_constructors():
 
     for cls, name in ((Poly, "of"), (Poly, "monomial"), (Poly2, "of"), (BranchOp, "of")):
         assert callable(getattr(cls, name))
+
+
+def test_poly_coefficients_are_fractions_that_round_trip():
+    # operator_algebra._retail keeps an m-jet as Poly.of(*p.coeffs[:m + 1]),
+    # and perturb adds Poly.monomial to BranchOp coefficients.
+    from fractions import Fraction
+
+    from curveglue.poly import Poly
+
+    p = Poly.of(Fraction(-3, 4), 0, Fraction(5, 6), 2, Fraction(1, 12))
+    assert type(p.coeffs) is tuple
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == (Fraction(-3, 4), 0, Fraction(5, 6), 2, Fraction(1, 12))
+    for n in range(1, len(p.coeffs) + 2):
+        assert Poly.of(*p.coeffs[:n]) == p.hadamard_split(n)[0]
+    assert Poly.of(*p.coeffs) == p
+    assert (p + Poly.monomial(1)).coeff(1) == 1

@@ -392,3 +392,9 @@ class TestErrorLineNumbers:
         status, captured = run_stdin(capsys, monkeypatch, text, "restrict", "-", "--space", "K1")
         assert status == 2
         assert "at line 4" in captured.err
+
+    def test_input_ending_after_branch_label(self, capsys, monkeypatch):
+        text = "# a pair\n\nbranch x\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "check", "-", "--space", "K1")
+        assert status == 2
+        assert "expected 'op order=<INT>' after this line at line 3" in captured.err

@@ -1,5 +1,6 @@
 """Exact polynomial layer: arithmetic, jets, Hadamard splitting, division."""
 
+import math
 import random
 import sys
 import threading
@@ -198,6 +199,168 @@ class TestDivideExact:
             if q.is_zero:
                 continue
             assert (p * q).divide_exact(q) == p
+
+
+# Test-only reference: schoolbook arithmetic on trimmed Fraction tuples, the
+# representation Poly used before it stored integer numerators over one
+# common denominator.
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref_trim(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def _ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_scale(a, c):
+    return _ref_trim(c * x for x in a)
+
+
+def _ref_derive(a):
+    return tuple(c * i for i, c in enumerate(a) if i)
+
+
+def _ref_shift(a, r):
+    return (Fraction(0),) * r + a if a else ()
+
+
+def _ref_divmod(a, d):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(d) + 1, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = rem[i + len(d) - 1] / d[-1]
+        for j, c in enumerate(d):
+            rem[i + j] -= quot[i] * c
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_eval(a, t):
+    value = Fraction(0)
+    for c in reversed(a):
+        value = value * t + c
+    return value
+
+
+def _ref_jet(a, order):
+    return tuple(a[n] if n < len(a) else Fraction(0) for n in range(order + 1))
+
+
+def _canonical(p):
+    assert p.den >= 1
+    assert math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert all(type(c) is int for c in p.nums)
+    return p
+
+
+def small_rational():
+    return st.builds(
+        Fraction, st.integers(min_value=-30, max_value=30), st.integers(min_value=1, max_value=12)
+    )
+
+
+def coefficient_tuples():
+    """Trimmed Fraction tuples: degree at most 10, denominators 1..12."""
+    return st.lists(small_rational(), max_size=11).map(_ref_trim)
+
+
+class TestAgainstFractionReference:
+    """Every integer-kernel operation equals the Fraction schoolbook result
+    and returns the canonical form."""
+
+    @settings(max_examples=200)
+    @given(coefficient_tuples(), coefficient_tuples())
+    def test_ring_operations(self, a, b):
+        p, q = Poly.of(*a), Poly.of(*b)
+        assert _canonical(p).coeffs == a
+        assert _canonical(p + q).coeffs == _ref_add(a, b)
+        assert _canonical(p - q).coeffs == _ref_add(a, _ref_neg(b))
+        assert _canonical(-p).coeffs == _ref_neg(a)
+        assert _canonical(p * q).coeffs == _ref_mul(a, b)
+
+    @settings(max_examples=200)
+    @given(coefficient_tuples(), st.integers(min_value=-30, max_value=30), small_rational())
+    def test_scalar_multiples(self, a, n, c):
+        p = Poly.of(*a)
+        for scalar in (n, c):
+            assert _canonical(p * scalar).coeffs == _ref_scale(a, scalar)
+            assert _canonical(scalar * p).coeffs == _ref_scale(a, scalar)
+
+    @settings(max_examples=200)
+    @given(coefficient_tuples(), st.integers(min_value=0, max_value=12))
+    def test_derive_shift_split(self, a, r):
+        p = Poly.of(*a)
+        assert _canonical(p.derive()).coeffs == _ref_derive(a)
+        assert _canonical(p.shift(r)).coeffs == _ref_shift(a, r)
+        head, tail = p.hadamard_split(r + 1)
+        assert _canonical(head).coeffs == _ref_trim(a[: r + 1])
+        assert _canonical(tail).coeffs == a[r + 1 :]
+
+    @settings(max_examples=150)
+    @given(coefficient_tuples(), coefficient_tuples(), coefficient_tuples())
+    def test_divide_exact(self, a, b, c):
+        if not b:
+            return
+        product = _ref_mul(a, b)
+        assert _canonical(Poly.of(*product).divide_exact(Poly.of(*b))).coeffs == a
+        quotient, remainder = _ref_divmod(c, b)
+        if remainder:
+            with pytest.raises(ExactDivisionError) as err:
+                Poly.of(*c).divide_exact(Poly.of(*b))
+            assert _canonical(err.value.remainder).coeffs == remainder
+        else:
+            assert _canonical(Poly.of(*c).divide_exact(Poly.of(*b))).coeffs == quotient
+
+    @settings(max_examples=200)
+    @given(coefficient_tuples(), small_rational(), st.integers(min_value=0, max_value=12))
+    def test_boundary_values(self, a, t, order):
+        p = Poly.of(*a)
+        assert p(t) == _ref_eval(a, t)
+        assert p(int(t.numerator)) == _ref_eval(a, Fraction(t.numerator))
+        jet = _ref_jet(a, order)
+        assert p.jet(order) == Jet(order, jet)
+        assert all(type(c) is Fraction for c in p.coeffs + p.jet(order).values)
+        assert p.deriv_at_zero(order) == jet[order] * math.factorial(order)
+
+    @settings(max_examples=200)
+    @given(coefficient_tuples(), coefficient_tuples(), small_rational())
+    def test_equal_values_compare_and_hash_equal(self, a, b, c):
+        p, q = Poly.of(*a), Poly.of(*b)
+        rebuilt = [(p + q) - q, Poly.of(*p.coeffs), p.shift(2).hadamard_split(2)[1]]
+        if c:
+            rebuilt.append((p * c) * (1 / c))
+        for other in rebuilt:
+            assert other == p
+            assert hash(other) == hash(p)
+
+    def test_equal_values_from_different_constructors(self):
+        a = Poly.of(Fraction(2, 4), 1)
+        b = Poly.of(Fraction(1, 2), Fraction(3, 3))
+        assert a == b and hash(a) == hash(b)
+        assert Poly.of(0, 0, 0) == Poly.of() == Poly.monomial(5, 0)
+        assert Poly.of(Fraction(6, 4)) * 2 == Poly.of(3) == Poly.monomial(0, "3")
+        assert (Poly.of(1, Fraction(1, 3)) * 3).den == 1
 
 
 def test_frac_coercion():
