@@ -305,16 +305,6 @@ def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
     return ParsedOp(op, order), index
 
 
-def parse_branch_op(text: str) -> ParsedOp:
-    lines = list(_numbered_lines(text))
-    if not lines:
-        raise DSLSyntaxError("empty operator block", 1)
-    parsed, index = _parse_op_block(lines, 0)
-    if index != len(lines):
-        raise DSLSyntaxError("trailing content after operator block", lines[index][0])
-    return parsed
-
-
 def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
     blocks = {}
     for expected in ("x", "y"):
@@ -347,30 +337,6 @@ def parse_many_paired(text: str) -> list[ParsedPair]:
         pair, index = _parse_paired_at(lines, index)
         pairs.append(pair)
     return pairs
-
-
-def parse_dsl(source: str):
-    """Auto-detecting entry point: returns a Poly, Poly2, GluedFunction,
-    ParsedOp, ParsedPair, SymbolElem or Character depending on the input."""
-    lines = list(_numbered_lines(source))
-    if not lines:
-        raise DSLSyntaxError("empty input", 1)
-    number, first = lines[0]
-    head = first.split(None, 1)[0].split("=", 1)[0]
-    if head == "pair":
-        return parse_glued(first, number)
-    if head == "symbol":
-        return parse_symbol(first, number)
-    if head == "char":
-        return parse_char(first, number)
-    if head == "op":
-        return parse_branch_op(source)
-    if head == "branch":
-        return parse_paired(source)
-    terms = parse_terms(first, number)
-    if any(j for (_, j) in terms) and any(i for (i, _) in terms):
-        return parse_poly2(first, number)
-    return parse_poly(first, number)
 
 
 # ---------------------------------------------------------------------------

@@ -133,5 +133,5 @@ def random_glued(space: SpaceSpec, rng: random.Random, max_degree: int = 4) -> G
     m = space.m
     f = random_poly(rng, max_degree)
     tail = random_poly(rng, max(max_degree - m - 1, 0))
-    g = Poly.of(*(f.coeff(n) for n in range(m + 1))) + tail.shift(m + 1)
+    g = f.hadamard_split(m + 1)[0] + tail.shift(m + 1)
     return GluedFunction(f, g, space)

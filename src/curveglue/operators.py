@@ -94,22 +94,23 @@ class BranchOp:
 def _leibniz(op_a: BranchOp, op_b: BranchOp, first: int) -> BranchOp:
     """The terms r >= first of a_i d^i (b_j d^j .) = a_i sum_r C(i,r) b_j^(r) d^(i-r+j).
 
+    Each b_j's nonzero derivatives up to the order of op_a are taken once.
     Each product puts C(i,r) b_j^(r) first, so that ``Poly.__mul__`` skips
     its zero coefficients: in a delta step it is a scaled monomial."""
+    chains = []
+    for b in op_b.coeffs:
+        chain = [b] if b else []
+        while chain and len(chain) < len(op_a.coeffs) and (b := b.derive()):
+            chain.append(b)
+        chains.append(chain)
     out: dict[int, Poly] = {}
     for i, a in enumerate(op_a.coeffs):
         if a.is_zero:
             continue
-        for j, b in enumerate(op_b.coeffs):
-            b_deriv = b
-            for r in range(i + 1):
-                if r:
-                    b_deriv = b_deriv.derive()
-                if b_deriv.is_zero:
-                    break
-                if r >= first:
-                    d = i - r + j
-                    out[d] = out.get(d, ZERO) + (math.comb(i, r) * b_deriv) * a
+        for j, chain in enumerate(chains):
+            for r in range(first, min(i + 1, len(chain))):
+                d = i - r + j
+                out[d] = out.get(d, ZERO) + (math.comb(i, r) * chain[r]) * a
     top = max(out) if out else -1
     return BranchOp.of(*(out.get(d, ZERO) for d in range(top + 1)))
 
@@ -196,6 +197,10 @@ def rref(rows) -> list[dict[int, Fraction]]:
     ``{column: value}`` dict; zero rows dropped, the sparse pivot rows
     returned in order of pivot column.
 
+    Each returned row holds only nonzero entries, its columns in increasing
+    order: the pivot, equal to 1, comes first.  Readers rely on this order
+    and do not sort again.
+
     Each row is reduced against the pivot rows found so far, normalised at
     its leading column and back-substituted into the earlier pivot rows.
     Pivot rows stay zero left of their pivot and at every other pivot column,
@@ -214,7 +219,7 @@ def rref(rows) -> list[dict[int, Fraction]]:
             if lead in other:
                 _subtract(other, other[lead], row)
         pivots[lead] = row
-    return [pivots[lead] for lead in sorted(pivots)]
+    return [dict(sorted(pivots[lead].items())) for lead in sorted(pivots)]
 
 
 def _subtract(row: dict, factor, pivot: dict) -> None:
@@ -227,9 +232,9 @@ def _subtract(row: dict, factor, pivot: dict) -> None:
             del row[c]
 
 
-def render_linear(row, variables) -> str:
-    """Render a homogeneous constraint row as '... = 0'."""
-    return signed_sum((c, v.name) for c, v in zip(row, variables) if c) + " = 0"
+def render_linear(row: dict[int, Fraction], variables) -> str:
+    """Render a sparse constraint row, columns in increasing order, as '... = 0'."""
+    return signed_sum((c, variables[col].name) for col, c in row.items()) + " = 0"
 
 
 @dataclass(frozen=True)
@@ -245,36 +250,37 @@ class ConditionSet:
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space.
 
-    ``rows`` are dense; ``sparse_rows`` are the same rows as
-    ``{column: value}`` dicts, shared through the condition caches, so
-    callers must not mutate them.  Build through :meth:`of`."""
+    ``sparse_rows`` are the pivot rows of :func:`rref`, ``{column: value}``
+    dicts over ``variables`` with their columns in increasing order.  They
+    are the only stored form and are shared through the condition caches, so
+    callers must not mutate them."""
 
     space: SpaceSpec
     order: int
     variables: tuple[JetVar, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    sparse_rows: tuple[dict[int, Fraction], ...] = field(compare=False, repr=False)
+    sparse_rows: tuple[dict[int, Fraction], ...] = field(hash=False)
 
-    @staticmethod
-    def of(space: SpaceSpec, order: int, variables, sparse_rows) -> "ConditionSet":
-        zero = (Fraction(0),) * len(variables)
-        rows = []
-        for row in sparse_rows:
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The same rows as dense tuples, built anew on each call."""
+        zero = (Fraction(0),) * len(self.variables)
+        out = []
+        for row in self.sparse_rows:
             dense = list(zero)
             for c, v in row.items():
                 dense[c] = v
-            rows.append(tuple(dense))
-        return ConditionSet(space, order, variables, tuple(rows), tuple(sparse_rows))
+            out.append(tuple(dense))
+        return tuple(out)
 
     @property
     def rendered(self) -> tuple[str, ...]:
-        return tuple(render_linear(row, self.variables) for row in self.rows)
+        return tuple(render_linear(row, self.variables) for row in self.sparse_rows)
 
     def violations(self, values) -> tuple[Violation, ...]:
         """The rows the given unknown values fail; only these are rendered."""
         out = []
-        for row, sparse in zip(self.rows, self.sparse_rows):
-            lhs = sum((c * values[self.variables[col]] for col, c in sparse.items()), Fraction(0))
+        for row in self.sparse_rows:
+            lhs = sum((c * values[self.variables[col]] for col, c in row.items()), Fraction(0))
             if lhs:
                 out.append(Violation(render_linear(row, self.variables), lhs))
         return tuple(out)
@@ -321,7 +327,7 @@ def _jet_rows(m: int, k: int, variables):
 @lru_cache(maxsize=None)
 def _generate(m: int, k: int) -> ConditionSet:
     variables = _variables(m, k)
-    return ConditionSet.of(SpaceSpec(m), k, variables, rref(_jet_rows(m, k, variables)))
+    return ConditionSet(SpaceSpec(m), k, variables, tuple(rref(_jet_rows(m, k, variables))))
 
 
 def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:

@@ -59,7 +59,7 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     # columns exactly when its pivot is a top column; such rows are reduced.
     kept = [{c - n_other: v for c, v in row.items()} for row in reduced if min(row) >= n_other]
     top_vars = tuple(SymbolVar(variables[i].branch, variables[i].r) for i in top)
-    return ConditionSet.of(SpaceSpec(m), degree, top_vars, kept)
+    return ConditionSet(SpaceSpec(m), degree, top_vars, tuple(kept))
 
 
 @dataclass(frozen=True)

@@ -85,6 +85,23 @@ def test_condition_caches_expose_lru_statistics():
         assert callable(cached.cache_info) and callable(cached.cache_clear)
 
 
+def test_condition_rows_are_dense_pivot_rows():
+    # harness.perturb takes the first nonzero entry of a row of ``rows`` as
+    # its pivot unknown, and condition_grid reads len(rows) as the rank.
+    from curveglue.glued import SpaceSpec
+    from curveglue.operators import generate_conditions
+
+    conditions = generate_conditions(SpaceSpec(2), 3)
+    rows = conditions.rows
+    assert len(rows) == len(conditions.sparse_rows) > 0
+    for row, sparse in zip(rows, conditions.sparse_rows):
+        assert len(row) == len(conditions.variables)
+        assert {c: v for c, v in enumerate(row) if v} == sparse
+        lead = next(c for c, v in enumerate(row) if v)
+        assert row[lead] == 1
+        assert [other[lead] for other in rows if other is not row] == [0] * (len(rows) - 1)
+
+
 def test_render_paired_takes_parsed_pairs():
     # The benchmark's DSL probe renders what parse_many_paired returns.
     from curveglue import dsl

@@ -98,6 +98,17 @@ class TestConditionGoldensAreComplete:
         assert lines == list(generate_conditions(SpaceSpec(m), k).rendered)
 
 
+# The parser that reads back each verb's ``result.dsl``.
+RESULT_PARSERS = {
+    "compose": dsl.parse_paired,
+    "commutator": dsl.parse_paired,
+    "symbol": dsl.parse_symbol,
+    "bracket": dsl.parse_symbol,
+    "extend": dsl.parse_poly2,
+    "restrict": dsl.parse_glued,
+}
+
+
 @pytest.mark.parametrize(
     "golden,status,argv", CORPUS, ids=[c[0].removesuffix(".txt") for c in CORPUS]
 )
@@ -112,7 +123,7 @@ def test_json_corpus_shares_payload_shape(capsys, golden, status, argv):
     if "--space" in argv:
         assert payload["space"] == argv[argv.index("--space") + 1]
     if "dsl" in payload.get("result", {}):
-        dsl.parse_dsl(payload["result"]["dsl"])
+        RESULT_PARSERS[payload["verb"]](payload["result"]["dsl"])
 
 
 class TestJsonOutput:

@@ -83,15 +83,15 @@ class TestBlocks:
 
     def test_coeff_columns_count_from_line_start(self):
         with pytest.raises(DSLSyntaxError) as err:
-            dsl.parse_branch_op("op order=1\ncoeff 1: x + $")
-        assert (err.value.line, err.value.column) == (2, 14)
+            dsl.parse_paired("branch x\nop order=1\ncoeff 1: x + $")
+        assert (err.value.line, err.value.column) == (3, 14)
 
     def test_indented_columns_count_from_line_start(self):
         with pytest.raises(DSLSyntaxError) as err:
-            dsl.parse_branch_op("op order=1\n  coeff 1: x + $")
-        assert (err.value.line, err.value.column) == (2, 16)
+            dsl.parse_paired("branch x\nop order=1\n  coeff 1: x + $")
+        assert (err.value.line, err.value.column) == (3, 16)
         with pytest.raises(DSLSyntaxError) as err:
-            dsl.parse_dsl("\n   pair m=1: x | y + $")
+            dsl.parse_glued("   pair m=1: x | y + $", 2)
         assert (err.value.line, err.value.column) == (2, 22)
 
     def test_symbol(self):
@@ -103,13 +103,14 @@ class TestBlocks:
         assert c == make_character(2, Fraction(-3, 2))
 
     def test_op_block(self):
-        parsed = dsl.parse_branch_op("op order=2\ncoeff 2: x\ncoeff 1: -1\ncoeff 0: 0")
+        block = "op order=2\ncoeff 2: x\ncoeff 1: -1\ncoeff 0: 0"
+        parsed = dsl.parse_paired(f"branch x\n{block}\nbranch y\n{block}")
         assert parsed.declared_order == 2
-        assert parsed.op == BranchOp.of(Poly.of(), Poly.of(-1), Poly.monomial(1))
+        assert parsed.d1 == parsed.d2 == BranchOp.of(Poly.of(), Poly.of(-1), Poly.monomial(1))
 
     def test_coeff_index_exceeds_order(self):
         with pytest.raises(DSLSyntaxError) as err:
-            dsl.parse_branch_op("op order=2\ncoeff 5: x")
+            dsl.parse_paired("branch x\nop order=2\ncoeff 5: x")
         assert "exceeds" in str(err.value)
 
     def test_paired(self):
@@ -122,12 +123,6 @@ class TestBlocks:
         text = "# operator\nbranch x\nop order=0\ncoeff 0: 1  # unit\n\nbranch y\nop order=0\ncoeff 0: 1\n"
         pair = dsl.parse_paired(text)
         assert pair.d1 == BranchOp.mult(Poly.of(1))
-
-    def test_autodetect(self):
-        assert isinstance(dsl.parse_dsl("pair m=0: x | 0"), type(random_glued(SpaceSpec(0), random.Random(0))))
-        assert isinstance(dsl.parse_dsl("3*x - 1"), Poly)
-        assert isinstance(dsl.parse_dsl("x*y"), Poly2)
-        assert dsl.parse_dsl("char branch=sing at=0") == make_character("sing", 0)
 
 
 class TestRenderRoundtrip:

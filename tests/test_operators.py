@@ -30,8 +30,9 @@ from curveglue.operators import (
     verify_order,
 )
 from curveglue.operators import _generate, _variables
-from curveglue.poly import Poly, degree_cap, get_degree_cap
+from curveglue.poly import Poly, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair
+from curveglue.symbols import symbol_conditions
 
 X = Poly.monomial(1)
 X2 = Poly.monomial(2)
@@ -316,6 +317,40 @@ class TestSparseElimination:
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
         dense = [tuple(row.get(c, 0) for c in range(ncols)) for row in rref(sparse)]
         assert dense == _gauss_jordan(rows, ncols)
+
+
+def _dense_render(row, variables):
+    """Dense reference renderer: walk every column, skipping zeros."""
+    return signed_sum((c, v.name) for c, v in zip(row, variables)) + " = 0"
+
+
+class TestSparseRowsMatchDenseReference:
+    """``rendered`` and ``violations`` read only the sparse rows; a dense walk
+    over the same rows is the reference."""
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_render_violations_and_row_order(self, m):
+        rng = random.Random(m)
+        verdicts = set()
+        for k in range(7):
+            for conditions in (_generate(m, k), symbol_conditions(m, k)):
+                variables, dense = conditions.variables, conditions.rows
+                assert conditions.rendered == tuple(_dense_render(row, variables) for row in dense)
+                choices = [0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]
+                values = {v: rng.choice(choices) for v in variables}
+                expected = []
+                for row in dense:
+                    lhs = sum(c * values[v] for c, v in zip(row, variables))
+                    verdicts.add(bool(lhs))
+                    if lhs:
+                        expected.append((_dense_render(row, variables), lhs))
+                got = [(v.constraint, v.lhs) for v in conditions.violations(values)]
+                assert got == expected, (m, k)
+                for row in conditions.sparse_rows:
+                    columns = list(row)
+                    assert all(a < b for a, b in zip(columns, columns[1:])), (m, k, row)
+                    assert row[columns[0]] == 1
+        assert verdicts == {True, False}
 
 
 class TestCheckAdmissible:
