@@ -49,7 +49,6 @@ from .operators import (
     verify_order,
 )
 from .poly import (
-    Jet,
     Poly,
     Poly2,
     degree_cap,

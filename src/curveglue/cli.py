@@ -15,7 +15,7 @@ import re
 import sys
 
 from . import dsl
-from .errors import CurveGlueError
+from .errors import AdmissibilityError, CurveGlueError
 from .glued import SpaceSpec, extend_to_plane, restrict_to_branches
 from .operators import (
     BranchOp,
@@ -329,6 +329,10 @@ def main(argv=None) -> int:
         with degree_cap(args.max_degree or get_degree_cap()):
             _check_sizes(args)
             return args.func(args)
+    except AdmissibilityError as exc:
+        # A well-formed pair that fails the conditions (compose, commutator, symbol).
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (CurveGlueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

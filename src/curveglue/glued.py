@@ -79,9 +79,10 @@ class GluedFunction:
 
 def make_glued(f: Poly, g: Poly, space: SpaceSpec) -> GluedFunction:
     """Build a glued function, verifying the defining jet condition."""
-    for n in range(space.m + 1):
-        if f.coeff(n) != g.coeff(n):
-            raise JetMismatch(n, f.coeff(n), g.coeff(n))
+    m = space.m
+    if f.jet(m) != g.jet(m):
+        n = next(n for n in range(m + 1) if f.coeff(n) != g.coeff(n))
+        raise JetMismatch(n, f.coeff(n), g.coeff(n))
     return GluedFunction(f, g, space)
 
 
@@ -107,23 +108,22 @@ def extend_to_plane(u: GluedFunction, h: Poly | None = None) -> Poly2:
     return Poly2.of(u.f, slope)
 
 
-def restrict_to_branches(F: Poly2, h: Poly | None = None, space: SpaceSpec | None = None) -> GluedFunction:
-    """Restrict a plane polynomial to the glued curves y = 0 and y = h(x).
+def restrict_to_branches(F: Poly2, h: Poly | None, space: SpaceSpec) -> GluedFunction:
+    """Restrict a plane polynomial to the glued curves y = 0 and y = h(x),
+    with the canonical profile when h is None.
 
     The result always satisfies the jet condition: the difference of the two
     restrictions is a multiple of h, hence of x**(m+1).
     """
-    if space is None:
-        raise ValueError("restriction requires the target space")
     if h is None:
         h = canonical_embedding(space)
     _check_embedding(h, space)
     return make_glued(F.at_y_zero(), F.substitute_y(h), space)
 
 
-def random_poly(rng: random.Random, max_degree: int = 4, denom: int = 3) -> Poly:
+def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:
     coeffs = [
-        Fraction(rng.randint(-4, 4), rng.randint(1, denom))
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         for _ in range(rng.randint(0, max_degree) + 1)
     ]
     return Poly.of(*coeffs)
@@ -133,5 +133,5 @@ def random_glued(space: SpaceSpec, rng: random.Random, max_degree: int = 4) -> G
     m = space.m
     f = random_poly(rng, max_degree)
     tail = random_poly(rng, max(max_degree - m - 1, 0))
-    g = f.hadamard_split(m + 1)[0] + tail.shift(m + 1)
+    g = f.jet(m) + tail.shift(m + 1)
     return GluedFunction(f, g, space)

@@ -352,21 +352,14 @@ class AdmissibilityReport:
         return not self.violations
 
 
-def coefficient_jets(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int):
-    values = {}
-    for s in range(k + 1):
-        for r in range(space.m + 1):
-            values[JetVar("a", s, r)] = d1.coeff(s).deriv_at_zero(r)
-            values[JetVar("b", s, r)] = d2.coeff(s).deriv_at_zero(r)
-    return values
-
-
 def check_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int) -> AdmissibilityReport:
     """Evaluate the generated conditions on the actual coefficient jets."""
     if d1.order > k or d2.order > k:
         raise OrderError(f"branch orders exceed the declared order {k}")
-    violations = generate_conditions(space, k).violations(coefficient_jets(d1, d2, space, k))
-    return AdmissibilityReport(space, k, violations)
+    conditions = generate_conditions(space, k)
+    ops = {"a": d1, "b": d2}
+    values = {v: ops[v.branch].coeff(v.s).deriv_at_zero(v.r) for v in conditions.variables}
+    return AdmissibilityReport(space, k, conditions.violations(values))
 
 
 def probe_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, probe_degree: int) -> bool:

@@ -6,9 +6,10 @@ finite-jet condition at 0, so polynomials witness all relevant behaviours
 exactly; there is no floating point anywhere.  A :class:`Poly` stores integer
 numerators over one positive common denominator in lowest terms, so its
 arithmetic runs on Python ints; ``Fraction`` appears only at the boundary
-(``coeffs``, ``coeff``, ``jet``, evaluation and rendering), and ``coeffs``
-still returns a tuple of ``Fraction``.  A single bivariate type
-(:class:`Poly2`) supports the plane-extension/restriction correspondence.
+(``coeffs``, ``coeff``, evaluation and rendering), and ``coeffs`` still
+returns a tuple of ``Fraction``.  An m-jet at 0 is itself a :class:`Poly`,
+the truncation ``p.jet(m)``.  A single bivariate type (:class:`Poly2`)
+supports the plane-extension/restriction correspondence.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ class Poly:
         """r-th derivative at 0, i.e. r! times the r-th coefficient."""
         return self.coeff(r) * math.factorial(r)
 
-    def jet(self, order: int) -> "Jet":
-        """Truncate to the m-jet at 0 (Taylor coefficients up to ``order``)."""
-        return Jet(order, tuple(self.coeff(n) for n in range(order + 1)))
+    def jet(self, order: int) -> "Poly":
+        """The m-jet at 0: the terms up to ``x**order``."""
+        return _poly(self.nums[:order + 1], self.den)
 
     def shift(self, r: int) -> "Poly":
         """Multiply by x**r."""
@@ -199,7 +200,7 @@ class Poly:
         """Split as head + x**r * tail with deg(head) < r; always exact."""
         if r < 1:
             raise ValueError("split order must be positive")
-        return _poly(self.nums[:r], self.den), _poly(self.nums[r:], self.den)
+        return self.jet(r - 1), _poly(self.nums[r:], self.den)
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact quotient self / divisor; nonzero remainders are an error.
@@ -272,36 +273,6 @@ def poly_str(p: Poly, var: str = "x") -> str:
 
 
 @dataclass(frozen=True)
-class Jet:
-    """m-jet at 0: Taylor coefficients c_0..c_m with c_n = f^(n)(0)/n!."""
-
-    order: int
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.order + 1:
-            raise ValueError("jet must carry exactly order+1 coefficients")
-
-    def __add__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        return Jet(self.order, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        self._check(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.values):
-            if a:
-                for j, b in enumerate(other.values):
-                    if i + j <= self.order:
-                        out[i + j] += a * b
-        return Jet(self.order, tuple(out))
-
-    def _check(self, other: "Jet") -> None:
-        if self.order != other.order:
-            raise ValueError("jet orders differ")
-
-
-@dataclass(frozen=True)
 class Poly2:
     """Bivariate polynomial, stored as y-slices: ``slices[j]`` is the
     coefficient (a univariate Poly in x) of y**j.  Trailing zero slices are
@@ -313,16 +284,6 @@ class Poly2:
     def of(*slices: Poly) -> "Poly2":
         return Poly2(_trim(slices))
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.slices
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        """Coefficient of x**i y**j."""
-        if 0 <= j < len(self.slices):
-            return self.slices[j].coeff(i)
-        return Fraction(0)
-
     def at_y_zero(self) -> Poly:
         return self.slices[0] if self.slices else ZERO
 
@@ -332,13 +293,6 @@ class Poly2:
         for s in reversed(self.slices):
             result = result * h + s
         return result
-
-    def __call__(self, x_value, y_value) -> Fraction:
-        x_value, y_value = frac(x_value), frac(y_value)
-        value = Fraction(0)
-        for s in reversed(self.slices):
-            value = value * y_value + s(x_value)
-        return value
 
     def __str__(self) -> str:
         return poly2_str(self)

@@ -87,10 +87,8 @@ class SymbolElem:
 def check_symbol_conditions(s: SymbolElem) -> AdmissibilityReport:
     """Evaluate the degree stratum on the actual coefficient jets."""
     conditions = symbol_conditions(s.space.m, s.degree)
-    values = {}
-    for r in range(s.space.m + 1):
-        values[SymbolVar("a", r)] = s.a.deriv_at_zero(r)
-        values[SymbolVar("b", r)] = s.b.deriv_at_zero(r)
+    top = {"a": s.a, "b": s.b}
+    values = {v: top[v.branch].deriv_at_zero(v.r) for v in conditions.variables}
     return AdmissibilityReport(s.space, s.degree, conditions.violations(values))
 
 

@@ -6,9 +6,13 @@ against a file in tests/golden/.
 
 import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveglue import dsl
 from curveglue.cli import main
@@ -188,10 +192,26 @@ class TestExitStatusContract:
         assert "error:" in captured.err
 
     def test_inadmissible_compose_input_rejected(self, capsys):
-        status, _ = run(
+        status, captured = run(
             capsys, "compose", DATA / "pair_dd_K0.txt", DATA / "pair_dd_K0.txt", "--space", "K0"
         )
-        assert status == 2
+        assert status == 1
+        assert captured.err == "error: operator pair is not admissible: b1(0) = 0; a1(0) = 0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["commutator", DATA / "pair_dd_K0.txt", DATA / "pair_dd_K0.txt", "--space", "K0"],
+            ["symbol", DATA / "pair_dd_K0.txt", "--space", "K0"],
+        ],
+        ids=["commutator", "symbol"],
+    )
+    def test_inadmissible_pair_fails_the_check(self, capsys, argv):
+        # Well-formed input that fails admissibility exits 1, like `check`.
+        status, captured = run(capsys, *argv)
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == "error: operator pair is not admissible: b1(0) = 0; a1(0) = 0\n"
 
     def test_stdin_input(self, capsys, monkeypatch):
         status, captured = run_stdin(capsys, monkeypatch, "pair m=0: x | 0\n", "extend", "-")
@@ -409,3 +429,60 @@ class TestErrorLineNumbers:
         status, captured = run_stdin(capsys, monkeypatch, text, "check", "-", "--space", "K1")
         assert status == 2
         assert "expected 'op order=<INT>' after this line at line 3" in captured.err
+
+
+# Each verb that reads input; conditions and nullity read none.
+INPUT_VERBS = [
+    ["check", "-", "--space", "K1"],
+    ["check", "-", "--space", "K0", "--probe-depth"],
+    ["compose", "-", "--space", "K1"],
+    ["commutator", "-", "--space", "K1"],
+    ["symbol", "-", "--space", "K1"],
+    ["bracket", "-"],
+    ["extend", "-"],
+    ["restrict", "-", "--space", "K1"],
+    ["witness", "-", "--space", "K0"],
+]
+DATA_TEXTS = sorted(path.read_text() for path in DATA.glob("*.txt"))
+FRAGMENTS = [
+    "branch x\n", "branch y\n", "op order=", "coeff ", "pair m=", "symbol deg=",
+    "char branch=", " at=", "sing", "1/0", "99", "-", "\n\n", "#",
+]
+
+
+@st.composite
+def mutated_data(draw):
+    """A data file's text with one to three short spans replaced."""
+    text = draw(st.sampled_from(DATA_TEXTS))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        start = draw(st.integers(min_value=0, max_value=len(text)))
+        end = draw(st.integers(min_value=start, max_value=min(len(text), start + 8)))
+        insert = draw(st.one_of(
+            st.text(alphabet="0123456789xy^*+-/:=|# \n", max_size=4),
+            st.sampled_from(FRAGMENTS),
+        ))
+        text = text[:start] + insert + text[end:]
+    return text
+
+
+def run_quiet(argv, text):
+    """main(argv) on ``text`` as stdin: the status and the stderr text."""
+    stdin, err = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            return main(argv), err.getvalue()
+    finally:
+        sys.stdin = stdin
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_data())
+def test_mutated_data_ends_in_an_exit_status(text):
+    """Every input verb ends a mutated data file in exit 0, 1 or 2, never in
+    an exception, and exit 2 comes with an "error:" line."""
+    for argv in INPUT_VERBS:
+        status, err = run_quiet(argv, text)
+        assert status in (0, 1, 2), (argv, text)
+        if status == 2:
+            assert err.startswith("error:"), (argv, text)

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveglue.errors import EmbeddingError, ExactDivisionError, JetMismatch, SpaceMismatch
 from curveglue.glued import (
@@ -18,6 +20,9 @@ from curveglue.poly import Poly, Poly2
 
 X = Poly.monomial(1)
 K0, K1 = SpaceSpec(0), SpaceSpec(1)
+RATIONALS = st.builds(
+    Fraction, st.integers(min_value=-9, max_value=9), st.integers(min_value=1, max_value=6)
+)
 
 
 class TestMakeGlued:
@@ -29,6 +34,25 @@ class TestMakeGlued:
     def test_higher_order_difference_ok(self):
         u = make_glued(X + Poly.monomial(2), X, K1)
         assert u.f != u.g
+
+    @settings(max_examples=100)
+    @given(
+        st.lists(RATIONALS, max_size=7),
+        RATIONALS,
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_mismatch_names_first_differing_index(self, coeffs, d, m, n):
+        # f and g agree below x^n and differ at x^n, whatever follows.
+        n = min(n, m)
+        f = Poly.of(*coeffs)
+        if d == f.coeff(n):
+            d += 1
+        g = f.jet(n - 1) + Poly.monomial(n, d) + Poly.monomial(n + 1, 5)
+        with pytest.raises(JetMismatch) as err:
+            make_glued(f, g, SpaceSpec(m))
+        assert (err.value.index, err.value.left, err.value.right) == (n, f.coeff(n), d)
+        assert str(err.value) == f"jet coefficient {n} differs between branches: {f.coeff(n)} != {d}"
 
     def test_cross_only_needs_values(self):
         u = make_glued(X, Poly.of(), K0)

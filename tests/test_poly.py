@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveglue.errors import DegreeCapExceeded, ExactDivisionError
-from curveglue.poly import Jet, Poly, degree_cap, frac, get_degree_cap
+from curveglue.poly import Poly, degree_cap, frac, get_degree_cap
 
 X = Poly.monomial(1)
 
@@ -139,20 +139,29 @@ class TestEval:
 
 
 class TestJet:
+    """An m-jet is the canonical Poly of the terms up to x**m."""
+
     def test_truncation(self):
-        assert Poly.of(2, 3, 0, 0, 0, 1).jet(2) == Jet(2, (Fraction(2), Fraction(3), Fraction(0)))
+        assert Poly.of(2, 3, 0, 0, 0, 1).jet(2) == Poly.of(2, 3)
 
     def test_zero(self):
-        assert Poly.of().jet(1) == Jet(1, (Fraction(0), Fraction(0)))
+        assert Poly.of().jet(1) == Poly.of()
 
     def test_higher_term_killed(self):
-        assert Poly.monomial(3).jet(2) == Jet(2, (Fraction(0),) * 3)
+        assert Poly.monomial(3).jet(2) == Poly.of()
 
     @settings(max_examples=100)
     @given(polys(5), polys(5), st.integers(min_value=0, max_value=4))
     def test_ring_map(self, p, q, m):
-        assert (p * q).jet(m) == p.jet(m) * q.jet(m)
+        assert (p * q).jet(m) == (p.jet(m) * q.jet(m)).jet(m)
         assert (p + q).jet(m) == p.jet(m) + q.jet(m)
+
+    @settings(max_examples=100)
+    @given(polys(8), st.integers(min_value=0, max_value=8))
+    def test_head_of_split_and_remainder(self, p, m):
+        assert p.hadamard_split(m + 1)[0] == p.jet(m)
+        assert p.jet(m).degree <= m
+        assert (p - p.jet(m)).order_of_zero() > m
 
 
 class TestHadamardSplit:
@@ -339,8 +348,8 @@ class TestAgainstFractionReference:
         assert p(t) == _ref_eval(a, t)
         assert p(int(t.numerator)) == _ref_eval(a, Fraction(t.numerator))
         jet = _ref_jet(a, order)
-        assert p.jet(order) == Jet(order, jet)
-        assert all(type(c) is Fraction for c in p.coeffs + p.jet(order).values)
+        assert _canonical(p.jet(order)) == Poly.of(*jet)
+        assert all(type(c) is Fraction for c in p.coeffs + p.jet(order).coeffs)
         assert p.deriv_at_zero(order) == jet[order] * math.factorial(order)
 
     @settings(max_examples=200)
