@@ -121,17 +121,21 @@ def restrict_to_branches(F: Poly2, h: Poly | None, space: SpaceSpec) -> GluedFun
     return make_glued(F.at_y_zero(), F.substitute_y(h), space)
 
 
+def random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:
-    coeffs = [
-        Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        for _ in range(rng.randint(0, max_degree) + 1)
-    ]
-    return Poly.of(*coeffs)
+    return Poly.of(*[random_fraction(rng) for _ in range(rng.randint(0, max_degree) + 1)])
+
+
+def with_random_tail(head: Poly, m: int, rng: random.Random, max_degree: int) -> Poly:
+    """A prescribed m-jet plus random terms from x**(m+1) up to max_degree
+    (a random constant times x**(m+1) when max_degree <= m)."""
+    return head + random_poly(rng, max(max_degree - m - 1, 0)).shift(m + 1)
+
 
 def random_glued(space: SpaceSpec, rng: random.Random, max_degree: int = 4) -> GluedFunction:
     """Random pair with matching m-jets: shared low part + independent tails."""
-    m = space.m
     f = random_poly(rng, max_degree)
-    tail = random_poly(rng, max(max_degree - m - 1, 0))
-    g = f.jet(m) + tail.shift(m + 1)
-    return GluedFunction(f, g, space)
+    return GluedFunction(f, with_random_tail(f.jet(space.m), space.m, rng, max_degree), space)

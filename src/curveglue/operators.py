@@ -8,11 +8,10 @@ D1 f and D2 g agree at 0.  That requirement is linear in the coefficient
 jets a_s^(r)(0), b_s^(r)(0) with s <= k, r <= m, so it is captured by a
 finite linear system:
 
-* :func:`generate_conditions` instantiates the defining equation on a
-  spanning family of glued pairs and row-reduces the result over the
-  rationals - this generated system is the ground truth;
+* :func:`generate_conditions` row-reduces the defining equation on branch a
+  over the rationals and mirrors it to branch b - the ground truth;
 * :func:`probe_admissible` is the independent brute-force oracle: it applies
-  the operators to the spanning family directly and compares output jets.
+  the operators to a spanning family of glued pairs and compares output jets.
 """
 
 from __future__ import annotations
@@ -250,8 +249,9 @@ class ConditionSet:
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space.
 
-    ``sparse_rows`` are the pivot rows of :func:`rref`, ``{column: value}``
-    dicts over ``variables`` with their columns in increasing order.  They
+    ``sparse_rows`` are its pivot rows in reduced row-echelon form, as
+    :func:`rref` returns them: ``{column: value}`` dicts over ``variables``
+    with their columns in increasing order, in order of pivot column.  They
     are the only stored form and are shared through the condition caches, so
     callers must not mutate them."""
 
@@ -300,34 +300,35 @@ def spanning_family(space: SpaceSpec, max_diag: int, max_branch: int):
         yield ZERO, p
 
 
-def _jet_rows(m: int, k: int, variables):
-    """Sparse rows of (D1 f)^(i)(0) = (D2 g)^(i)(0), i <= m, over the
-    spanning family, empty rows skipped.
-
-    (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0), so for
-    f = x^n a row meets only the unknowns with s = n - i + r, each with the
-    value C(i,r) n! (negated on branch b)."""
-    column = {v: c for c, v in enumerate(variables)}
-    for f, g in spanning_family(SpaceSpec(m), max_diag=k + m, max_branch=k + m + 1):
-        # Every member is a monomial x^n on one or both branches.
-        terms = [
-            (branch, p.degree, sign * math.factorial(p.degree))
-            for branch, p, sign in (("a", f, 1), ("b", g, -1))
-            if p
-        ]
-        for i in range(m + 1):
-            row = {}
-            for branch, n, value in terms:
-                for r in range(max(0, i - n), min(i, k + i - n) + 1):
-                    row[column[JetVar(branch, n - i + r, r)]] = math.comb(i, r) * value
-            if row:
-                yield row
-
-
 @lru_cache(maxsize=None)
 def _generate(m: int, k: int) -> ConditionSet:
+    """The reduced system, from one elimination on branch a.
+
+    The diagonal pairs f = g = x^n force b_s^(r)(0) = a_s^(r)(0) (at each
+    weight s - r their rows are a unit triangular Pascal system on a - b), so
+    only the rows (D1 x^n)^(i)(0) = 0, m < n <= k+m, i <= m, are reduced:
+    (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0), so each
+    meets only a_(n-i+r)^(r), with value C(i,r) n! (n! dropped here).  The
+    result is mirrored to b, whose column is just before a's: a pivot
+    a_s^(r) gives the b_s^(r) row (its a row, pivot moved to b), then the a
+    row; a free a_s^(r) gives b_s^(r)(0) - a_s^(r)(0) = 0."""
     variables = _variables(m, k)
-    return ConditionSet(SpaceSpec(m), k, variables, tuple(rref(_jet_rows(m, k, variables))))
+    column = {v: c for c, v in enumerate(variables)}
+    rows = (
+        {column[JetVar("a", n - i + r, r)]: math.comb(i, r) for r in range(min(i, k + i - n) + 1)}
+        for n in range(m + 1, k + m + 1)
+        for i in range(m + 1)
+    )
+    pivots = {min(row): row for row in rref(rows)}
+    out = []
+    for c in range(1, len(variables), 2):
+        if c in pivots:
+            row = pivots[c]
+            out.append({c - 1: row[c], **{j: v for j, v in row.items() if j != c}})
+            out.append(row)
+        else:
+            out.append({c - 1: Fraction(1), c: Fraction(-1)})
+    return ConditionSet(SpaceSpec(m), k, variables, tuple(out))
 
 
 def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:

@@ -269,7 +269,7 @@ def _power(var: str, n: int) -> str:
 
 def poly_str(p: Poly, var: str = "x") -> str:
     """Render in the DSL syntax, e.g. ``3/2*x^2 - x + 1``."""
-    return signed_sum((p.coeffs[n], _power(var, n)) for n in reversed(range(len(p.coeffs))))
+    return signed_sum((c, _power(var, n)) for n, c in reversed(tuple(enumerate(p.coeffs))))
 
 
 @dataclass(frozen=True)

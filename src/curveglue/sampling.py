@@ -12,14 +12,10 @@ import math
 import random
 from fractions import Fraction
 
-from .glued import SpaceSpec, random_poly
+from .glued import SpaceSpec, random_fraction, with_random_tail
 from .operators import BranchOp, ConditionSet, JetVar, PairedOp, generate_conditions
 from .poly import Poly
 from .symbols import SymbolElem, SymbolVar, symbol_conditions
-
-
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
 def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> dict:
@@ -29,7 +25,7 @@ def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> dict:
     values = [None] * len(variables)
     for i in range(len(variables)):
         if i not in pivots:
-            values[i] = _random_fraction(rng)
+            values[i] = random_fraction(rng)
     for lead, row in pivots.items():
         values[lead] = -sum((c * values[j] for j, c in row.items() if j != lead), Fraction(0))
     return dict(zip(variables, values))
@@ -39,8 +35,7 @@ def _poly_with_jet(jets: list[Fraction], rng: random.Random, max_degree: int) ->
     """Polynomial with prescribed derivatives at 0 plus a random tail."""
     m = len(jets) - 1
     head = Poly.of(*(jets[r] / math.factorial(r) for r in range(m + 1)))
-    tail = random_poly(rng, max(max_degree - m - 1, 0))
-    return head + tail.shift(m + 1)
+    return with_random_tail(head, m, rng, max_degree)
 
 
 def random_admissible_pair(
@@ -49,16 +44,12 @@ def random_admissible_pair(
     """Random admissible pair of nominal order k with coefficient degrees up
     to max_degree."""
     values = solve_homogeneous(generate_conditions(space, k), rng)
-    m = space.m
-    a_coeffs, b_coeffs = [], []
+    coeffs = {"a": [], "b": []}
     for s in range(k + 1):
-        a_coeffs.append(
-            _poly_with_jet([values[JetVar("a", s, r)] for r in range(m + 1)], rng, max_degree)
-        )
-        b_coeffs.append(
-            _poly_with_jet([values[JetVar("b", s, r)] for r in range(m + 1)], rng, max_degree)
-        )
-    return PairedOp(BranchOp.of(*a_coeffs), BranchOp.of(*b_coeffs), space, k)
+        for branch in "ab":
+            jets = [values[JetVar(branch, s, r)] for r in range(space.m + 1)]
+            coeffs[branch].append(_poly_with_jet(jets, rng, max_degree))
+    return PairedOp(BranchOp.of(*coeffs["a"]), BranchOp.of(*coeffs["b"]), space, k)
 
 
 def random_symbol(

@@ -3,8 +3,8 @@
 A degree-k symbol is the class of an admissible order-k pair modulo pairs of
 order k-1; concretely, the pair of top coefficients (a_k, b_k).  Membership
 at degree k is the projection of the order-k admissibility conditions onto
-the top-coefficient jets, computed here by exact variable elimination - so
-a coefficient pair can be legal at one degree and illegal at another.
+the top-coefficient jets, which has a closed form in k and the contact order
+- so a coefficient pair can be legal at one degree and illegal at another.
 
 The product multiplies componentwise (composition of representatives); the
 Poisson bracket is the top coefficient of the commutator,
@@ -14,6 +14,7 @@ l*a_s*a_t' - n*a_t*a_s' branchwise for degrees l and n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,9 +26,7 @@ from .operators import (
     ConditionSet,
     PairedOp,
     _prime_name,
-    generate_conditions,
     pair_commutator,
-    rref,
 )
 from .poly import ZERO, Poly
 
@@ -45,21 +44,18 @@ class SymbolVar(NamedTuple):
 
 @lru_cache(maxsize=None)
 def symbol_conditions(m: int, degree: int) -> ConditionSet:
-    """Degree stratum of the admissibility conditions: eliminate all
-    lower-coefficient unknowns from the order-``degree`` system and keep the
-    constraints that touch only the top coefficient pair."""
-    full = generate_conditions(SpaceSpec(m), degree)
-    variables = full.variables
-    other = [i for i, v in enumerate(variables) if v.s != degree]
-    top = [i for i, v in enumerate(variables) if v.s == degree]
-    column = {old: new for new, old in enumerate(other + top)}
-    reduced = rref({column[c]: v for c, v in row.items()} for row in full.sparse_rows)
-    n_other = len(other)
-    # A pivot row is zero left of its pivot, so it vanishes on the eliminated
-    # columns exactly when its pivot is a top column; such rows are reduced.
-    kept = [{c - n_other: v for c, v in row.items()} for row in reduced if min(row) >= n_other]
-    top_vars = tuple(SymbolVar(variables[i].branch, variables[i].r) for i in top)
-    return ConditionSet(SpaceSpec(m), degree, top_vars, tuple(kept))
+    """Degree stratum of the admissibility conditions, in closed form: the
+    diagonal rows force b^(r)(0) = a^(r)(0), and a_k^(r)(0) is cut out alone
+    exactly when its weight block w = k - r has full rank, with its
+    min(m + 1, w) branch rows at least its r + 1 unknowns: when 2r < k."""
+    if degree < 0:
+        raise OrderError("operator order must be nonnegative")
+    one, rows = Fraction(1), []
+    for r in range(m, -1, -1):
+        b = 2 * (m - r)  # the column of b^(r); a^(r) follows it
+        rows += [{b: one}, {b + 1: one}] if 2 * r < degree else [{b: one, b + 1: -one}]
+    variables = tuple(SymbolVar(branch, r) for r in range(m, -1, -1) for branch in "ba")
+    return ConditionSet(SpaceSpec(m), degree, variables, tuple(rows))
 
 
 @dataclass(frozen=True)

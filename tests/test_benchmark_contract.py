@@ -57,7 +57,6 @@ USED = {
         "bracket_via_commutator",
         "pair_symbol",
         "poisson_bracket",
-        "rref",
         "symbol_conditions",
     ],
 }

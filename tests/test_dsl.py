@@ -4,11 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveglue import dsl
 from curveglue.errors import DSLSyntaxError
-from curveglue.glued import SpaceSpec, random_glued
+from curveglue.glued import SpaceSpec, make_glued, random_glued
 from curveglue.operators import BranchOp
+from curveglue.symbols import symbol_scale
 from curveglue.poly import Poly, Poly2, degree_cap, get_degree_cap, poly2_str, poly_str
 from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.spectra import make_character
@@ -174,3 +177,68 @@ class TestRenderRoundtrip:
     def test_char(self):
         for c in (make_character(1, 2), make_character(SINGULAR := "sing", 0), make_character(2, Fraction(-1, 3))):
             assert dsl.parse_char(dsl.render_char(c)) == c
+
+
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+polys = st.lists(fractions, max_size=7).map(lambda cs: Poly.of(*cs))
+seeded = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+@st.composite
+def glued_pairs(draw):
+    m = draw(st.integers(0, 4))
+    f, g = draw(polys), draw(polys)
+    return make_glued(f, f.jet(m) + g - g.jet(m), SpaceSpec(m))
+
+
+@st.composite
+def paired_ops(draw):
+    ops = st.lists(polys, max_size=4).map(lambda cs: BranchOp.of(*cs))
+    d1, d2 = draw(ops), draw(ops)
+    order = max(d1.order, d2.order, 0) + draw(st.integers(0, 2))
+    return dsl.ParsedPair(d1, d2, order)
+
+
+roundtrip = settings(max_examples=50, deadline=None)
+
+
+class TestRenderRoundtripProperties:
+    """parse(render(v)) == v for every value type the DSL writes."""
+
+    @roundtrip
+    @given(polys, st.sampled_from("xy"))
+    def test_poly(self, p, var):
+        assert dsl.parse_poly(poly_str(p, var)) == p
+
+    @roundtrip
+    @given(st.lists(polys, max_size=4).map(lambda slices: Poly2.of(*slices)))
+    def test_poly2(self, F):
+        assert dsl.parse_poly2(poly2_str(F)) == F
+
+    @roundtrip
+    @given(glued_pairs())
+    def test_glued(self, u):
+        assert dsl.parse_glued(dsl.render_glued(u)) == u
+
+    @roundtrip
+    @given(st.integers(0, 3), st.integers(0, 5), seeded, fractions)
+    def test_symbol(self, m, degree, rng, c):
+        s = symbol_scale(random_symbol(SpaceSpec(m), degree, rng), c)
+        assert dsl.parse_symbol(dsl.render_symbol(s)) == s
+
+    @roundtrip
+    @given(paired_ops())
+    def test_paired(self, pair):
+        assert dsl.parse_paired(dsl.render_paired(pair)) == pair
+
+    @roundtrip
+    @given(st.integers(0, 2), st.integers(0, 3), seeded)
+    def test_admissible_pair(self, m, k, rng):
+        pair = random_admissible_pair(SpaceSpec(m), k, rng)
+        assert dsl.parse_paired(dsl.render_paired(pair)) == (pair.d1, pair.d2, pair.order)
+
+    @roundtrip
+    @given(st.sampled_from([1, 2, "sing"]), fractions)
+    def test_char(self, branch, at):
+        c = make_character(branch, 0 if branch == "sing" else at)
+        assert dsl.parse_char(dsl.render_char(c)) == c

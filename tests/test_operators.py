@@ -25,6 +25,7 @@ from curveglue.operators import (
     pair_commutator,
     pair_compose,
     probe_admissible,
+    render_linear,
     rref,
     spanning_family,
     verify_order,
@@ -32,7 +33,7 @@ from curveglue.operators import (
 from curveglue.operators import _generate, _variables
 from curveglue.poly import Poly, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair
-from curveglue.symbols import symbol_conditions
+from curveglue.symbols import SymbolVar, symbol_conditions
 
 X = Poly.monomial(1)
 X2 = Poly.monomial(2)
@@ -317,6 +318,62 @@ class TestSparseElimination:
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
         dense = [tuple(row.get(c, 0) for c in range(ncols)) for row in rref(sparse)]
         assert dense == _gauss_jordan(rows, ncols)
+
+
+def _two_branch_rows(m, k):
+    """Sparse rows of (D1 f)^(i)(0) = (D2 g)^(i)(0), i <= m, over the whole
+    spanning family, both branches, each entry C(i,r) n! (negated on branch b);
+    empty rows skipped."""
+    column = {v: c for c, v in enumerate(_variables(m, k))}
+    for f, g in spanning_family(SpaceSpec(m), max_diag=k + m, max_branch=k + m + 1):
+        terms = [
+            (branch, p.degree, sign * math.factorial(p.degree))
+            for branch, p, sign in (("a", f, 1), ("b", g, -1))
+            if p
+        ]
+        for i in range(m + 1):
+            row = {}
+            for branch, n, value in terms:
+                for r in range(max(0, i - n), min(i, k + i - n) + 1):
+                    row[column[JetVar(branch, n - i + r, r)]] = math.comb(i, r) * value
+            if row:
+                yield row
+
+
+def _projected_stratum(m, k):
+    """The degree stratum by elimination: rref of the order-k system with the
+    lower unknowns moved first, keeping the rows whose pivot is a top unknown."""
+    full = _generate(m, k)
+    variables = full.variables
+    other = [i for i, v in enumerate(variables) if v.s != k]
+    top = [i for i, v in enumerate(variables) if v.s == k]
+    column = {old: new for new, old in enumerate(other + top)}
+    reduced = rref({column[c]: v for c, v in row.items()} for row in full.sparse_rows)
+    kept = [{c - len(other): v for c, v in row.items()} for row in reduced if min(row) >= len(other)]
+    return tuple(SymbolVar(variables[i].branch, variables[i].r) for i in top), kept
+
+
+def _items(rows):
+    return [list(row.items()) for row in rows]
+
+
+class TestConditionsMatchElimination:
+    """Branch-a elimination mirrored to b, and the closed-form stratum, against
+    eliminating the whole two-branch system."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 12))
+    def test_generate_matches_two_branch_rref(self, m, k):
+        assert _items(_generate(m, k).sparse_rows) == _items(rref(_two_branch_rows(m, k)))
+
+    def test_symbol_conditions_match_projection(self):
+        for m in range(9):
+            for k in range(13):
+                variables, rows = _projected_stratum(m, k)
+                stratum = symbol_conditions(m, k)
+                assert stratum.variables == variables, (m, k)
+                assert _items(stratum.sparse_rows) == _items(rows), (m, k)
+                assert stratum.rendered == tuple(render_linear(row, variables) for row in rows)
 
 
 def _dense_render(row, variables):

@@ -18,6 +18,7 @@ from curveglue.symbols import (
     pair_symbol,
     poisson_bracket,
     symbol_add,
+    symbol_conditions,
     symbol_mul,
     symbol_scale,
     take_symbol,
@@ -82,6 +83,12 @@ class TestSymbolConditions:
     def test_make_symbol_rejects(self):
         with pytest.raises(SymbolConditionError):
             make_symbol(1, Poly.of(1), Poly.of(1), K0)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(OrderError):
+            symbol_conditions(1, -1)
+        with pytest.raises(OrderError):
+            check_symbol_conditions(SymbolElem(-1, X, X, K1))
 
     def test_zero_symbol_valid_everywhere(self):
         for m in range(3):
