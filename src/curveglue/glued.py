@@ -131,11 +131,14 @@ def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:
 
 def with_random_tail(head: Poly, m: int, rng: random.Random, max_degree: int) -> Poly:
     """A prescribed m-jet plus random terms from x**(m+1) up to max_degree
-    (a random constant times x**(m+1) when max_degree <= m)."""
+    (a random constant times x**(m+1) when max_degree <= m), so the degree
+    is at most max(max_degree, m + 1)."""
     return head + random_poly(rng, max(max_degree - m - 1, 0)).shift(m + 1)
 
 
 def random_glued(space: SpaceSpec, rng: random.Random, max_degree: int = 4) -> GluedFunction:
-    """Random pair with matching m-jets: shared low part + independent tails."""
+    """Random pair with matching m-jets: shared low part + independent tails.
+
+    f has degree at most max_degree, g at most max(max_degree, m + 1)."""
     f = random_poly(rng, max_degree)
     return GluedFunction(f, with_random_tail(f.jet(space.m), space.m, rng, max_degree), space)

@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, ClosureBugError, OrderError
+from .errors import AdmissibilityError, ClosureBugError, DegreeCapExceeded, OrderError
 from .glued import GluedFunction, SpaceSpec, make_glued, same_space
-from .poly import NEG_INF, ZERO, Poly, _trim, signed_sum
+from .poly import NEG_INF, ZERO, Poly, _trim, get_degree_cap, signed_sum
 
 # ---------------------------------------------------------------------------
 # Branch operators
@@ -128,9 +128,46 @@ def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
 def delta_reduce(op: BranchOp, a: Poly) -> BranchOp:
     """The order-lowering map: commutator of op with multiplication by a.
 
-    For a = x^n this is the closed form
-    [a_i d^i, x^n] = sum_{r>=1} C(i,r) n!/(n-r)! x^(n-r) a_i d^(i-r)."""
-    return commutator(op, BranchOp.mult(a))
+    Multiplication by a has order 0, so the terms r >= 1 of mult(a) op are
+    empty and only those of op mult(a) remain."""
+    return _leibniz(op, BranchOp.mult(a), 1)
+
+
+def _delta_monomial(nums: list[list[int]], n: int, cap: int) -> list[list[int]]:
+    """One delta step by x^n, n >= 1, on integer numerator arrays over a
+    common denominator.  ``nums[i]`` holds the numerators of a_i; arrays and
+    the list of them carry no trailing zero, so lengths are true degrees
+    plus one, in the argument and in the result.  The closed form
+
+        [a_i d^i, x^n] = sum_{r>=1} C(i,r) n!/(n-r)! x^(n-r) a_i d^(i-r)
+
+    multiplies only by integers, so the denominator never changes.  Its top
+    coefficient p n x^(n-1) a_p, for p the order, has one term and never
+    cancels, so only the arrays need trimming.
+
+    The product x^(n-r) a_i has degree n - r + deg a_i, largest at r = 1.
+    :class:`DegreeCapExceeded` is raised for the first product above the
+    cap in the order i, then r, ascending: the product r = 1 of the least
+    such i."""
+    for i, a in enumerate(nums):
+        if i and a and n + len(a) - 2 > cap:
+            raise DegreeCapExceeded(n + len(a) - 2, cap)
+    out: list[list[int]] = [[] for _ in range(len(nums) - 1)]
+    for i, a in enumerate(nums):
+        if not a:
+            continue
+        for r in range(1, min(i, n) + 1):
+            scale = math.comb(i, r) * math.perm(n, r)
+            target = out[i - r]
+            end = n - r + len(a)
+            if len(target) < end:
+                target.extend([0] * (end - len(target)))
+            for t, c in enumerate(a, n - r):
+                target[t] += scale * c
+    for target in out:
+        while target and not target[-1]:
+            target.pop()
+    return out
 
 
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
@@ -139,22 +176,27 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     Chains run over multisets of monomial exponents 1..probe_degree
     (delta by a constant is identically zero, so exponent 0 adds nothing).
     The multisets are walked depth-first in non-decreasing order, so chains
-    with a common prefix reduce that prefix once."""
+    with a common prefix reduce that prefix once.  The coefficients are put
+    over one common denominator once; each step is then
+    :func:`_delta_monomial` on their integer numerators."""
     if k < 0:
         return op.is_zero
+    cap = get_degree_cap()
+    den = math.lcm(*(a.den for a in op.coeffs))
+    nums = [[c * (den // a.den) for c in a.nums] for a in op.coeffs]
 
-    def vanishes(reduced: BranchOp, steps: int, lowest: int) -> bool:
+    def vanishes(reduced: list[list[int]], steps: int, lowest: int) -> bool:
         # Every chain of ``steps`` more deltas with exponents >= lowest.
-        if reduced.is_zero:
+        if not reduced:
             return True
         if not steps:
             return False
         return all(
-            vanishes(delta_reduce(reduced, Poly.monomial(n)), steps - 1, n)
+            vanishes(_delta_monomial(reduced, n, cap), steps - 1, n)
             for n in range(lowest, probe_degree + 1)
         )
 
-    return vanishes(op, k + 1, 1)
+    return vanishes(nums, k + 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def random_admissible_pair(
     space: SpaceSpec, k: int, rng: random.Random, max_degree: int = 4
 ) -> PairedOp:
     """Random admissible pair of nominal order k with coefficient degrees up
-    to max_degree."""
+    to max(max_degree, m + 1): every coefficient gets a tail from x**(m+1)."""
     values = solve_homogeneous(generate_conditions(space, k), rng)
     coeffs = {"a": [], "b": []}
     for s in range(k + 1):
@@ -55,7 +55,8 @@ def random_admissible_pair(
 def random_symbol(
     space: SpaceSpec, degree: int, rng: random.Random, max_degree: int = 4
 ) -> SymbolElem:
-    """Random valid symbol of the given degree."""
+    """Random valid symbol of the given degree; a and b have degree at most
+    max(max_degree, m + 1), as each gets a tail from x**(m+1)."""
     values = solve_homogeneous(symbol_conditions(space.m, degree), rng)
     m = space.m
     a = _poly_with_jet([values[SymbolVar("a", r)] for r in range(m + 1)], rng, max_degree)

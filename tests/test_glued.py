@@ -17,6 +17,7 @@ from curveglue.glued import (
     restrict_to_branches,
 )
 from curveglue.poly import Poly, Poly2
+from curveglue.sampling import random_admissible_pair, random_symbol
 
 X = Poly.monomial(1)
 K0, K1 = SpaceSpec(0), SpaceSpec(1)
@@ -154,3 +155,25 @@ def test_roundtrip_extend_restrict():
         u = random_glued(space, rng, max_degree=m + 3)
         h = canonical_embedding(space)
         assert restrict_to_branches(extend_to_plane(u, h), h, space) == u
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_sampler_degree_bound(m):
+    # Every random tail starts at x**(m+1), so the samplers reach degree
+    # max(max_degree, m + 1), not max_degree, once m >= max_degree.
+    space = SpaceSpec(m)
+    for max_degree in range(6):
+        rng = random.Random(f"degree bound {m} {max_degree}")
+        degrees = {"f": [], "g": [], "pair": [], "symbol": []}
+        for _ in range(40):
+            u = random_glued(space, rng, max_degree)
+            pair = random_admissible_pair(space, 1, rng, max_degree)
+            s = random_symbol(space, 2, rng, max_degree)
+            degrees["f"].append(u.f.degree)
+            degrees["g"].append(u.g.degree)
+            degrees["pair"] += [c.degree for c in pair.d1.coeffs + pair.d2.coeffs]
+            degrees["symbol"] += [s.a.degree, s.b.degree]
+        bound = max(max_degree, m + 1)
+        assert {name: max(d) for name, d in degrees.items()} == {
+            "f": max_degree, "g": bound, "pair": bound, "symbol": bound
+        }

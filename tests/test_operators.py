@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curveglue.errors import AdmissibilityError, OrderError, SpaceMismatch
+from curveglue.errors import AdmissibilityError, DegreeCapExceeded, OrderError, SpaceMismatch
 from curveglue.glued import SpaceSpec, random_glued, make_glued
 from curveglue.operators import (
     BranchOp,
@@ -30,8 +30,8 @@ from curveglue.operators import (
     spanning_family,
     verify_order,
 )
-from curveglue.operators import _generate, _variables
-from curveglue.poly import Poly, degree_cap, get_degree_cap, signed_sum
+from curveglue.operators import _delta_monomial, _generate, _variables
+from curveglue.poly import ZERO, Poly, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair
 from curveglue.symbols import SymbolVar, symbol_conditions
 
@@ -60,6 +60,25 @@ branch_ops = st.lists(
 def _two_compositions(op_a, op_b):
     """The commutator as the difference of two full compositions."""
     return compose(op_a, op_b) - compose(op_b, op_a)
+
+
+def _delta_chain_reference(op, k, probe_degree):
+    """verify_order as a prefix-shared walk on BranchOps, each step one
+    delta_reduce on Polys: the reference for the integer numerator kernel."""
+    if k < 0:
+        return op.is_zero
+
+    def vanishes(reduced, steps, lowest):
+        if reduced.is_zero:
+            return True
+        if not steps:
+            return False
+        return all(
+            vanishes(delta_reduce(reduced, Poly.monomial(n)), steps - 1, n)
+            for n in range(lowest, probe_degree + 1)
+        )
+
+    return vanishes(op, k + 1, 1)
 
 
 def _chain_by_chain(op, k, probe_degree):
@@ -205,6 +224,60 @@ class TestDeltaChains:
         assert get_degree_cap() == 32
         assert verify_order(op, k, probe_degree=8)
         assert not verify_order(op, k - 1, probe_degree=8)
+
+
+def _verdict(order_check, op, k, probe_degree):
+    """The verdict, or the arguments of the degree cap error it raised."""
+    try:
+        return order_check(op, k, probe_degree)
+    except DegreeCapExceeded as exc:
+        return exc.args, exc.degree, exc.cap
+
+
+delta_ops = st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=7).map(
+        lambda cs: Poly.of(*cs)
+    ),
+    max_size=6,
+).map(lambda coeffs: BranchOp.of(*coeffs))
+
+
+class TestDeltaChainKernel:
+    @settings(max_examples=200)
+    @given(delta_ops, st.integers(1, 9))
+    @example(BranchOp.of(ZERO, Poly.of(-1), X), 2)  # [x d^2 - d, x^2] = 4x^2 d
+    def test_step_matches_delta_reduce(self, op, n):
+        den = math.lcm(*(a.den for a in op.coeffs))
+        nums = [[c * (den // a.den) for c in a.nums] for a in op.coeffs]
+        with degree_cap(128):
+            expected = delta_reduce(op, Poly.monomial(n))
+            step = _delta_monomial(nums, n, 128)
+        assert [[Fraction(c, den) for c in a] for a in step] == [
+            list(a.coeffs) for a in expected.coeffs
+        ]
+
+    def test_cap_error_names_the_first_product(self):
+        # a_1 and a_2 both exceed the cap; the Poly walk multiplies a_1 first.
+        op = BranchOp.of(ZERO, Poly.monomial(6), Poly.monomial(5))
+        for order_check in (_delta_chain_reference, verify_order):
+            with degree_cap(4), pytest.raises(DegreeCapExceeded) as exc:
+                order_check(op, 1, 1)
+            assert (exc.value.degree, exc.value.cap) == (6, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(delta_ops, st.integers(-1, 4), st.integers(0, 9), st.integers(4, 40))
+    def test_matches_poly_reference(self, op, k, probe_degree, cap):
+        with degree_cap(cap):
+            expected = _verdict(_delta_chain_reference, op, k, probe_degree)
+            assert _verdict(verify_order, op, k, probe_degree) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(delta_ops, st.integers(-1, 4), st.integers(1, 8))
+    def test_order_theorem(self, op, k, probe_degree):
+        # Deltas by x alone lower the top coefficient p a_p d^p to a nonzero
+        # multiple of a_p d^(p-1), so any probe degree >= 1 detects the order.
+        with degree_cap(128):
+            assert verify_order(op, k, probe_degree) == (op.order <= k)
 
 
 def _named_row(conditions, terms):
