@@ -169,18 +169,10 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].rstrip()
 
 
-def parse_terms(text: str, line: int = 1) -> dict[tuple[int, int], Fraction]:
-    return _ExprParser(text, line).parse_terms()
-
-
-def parse_poly(text: str, line: int = 1) -> Poly:
+def parse_poly(text: str, line: int = 1, offset: int = 0) -> Poly:
     """Parse a univariate polynomial; x and y are both accepted as the
-    indeterminate (branch naming is display only), but not mixed."""
-    return _poly_at(text, line, 0)
-
-
-def _poly_at(text: str, line: int, offset: int) -> Poly:
-    """parse_poly with error columns counted from ``offset`` + 1."""
+    indeterminate (branch naming is display only), but not mixed.  Error
+    columns count from ``offset`` + 1."""
     terms = _ExprParser(text, line, offset).parse_terms()
     has_x = any(i for (i, _), c in terms.items() if c)
     has_y = any(j for (_, j), c in terms.items() if c)
@@ -194,7 +186,7 @@ def _poly_at(text: str, line: int, offset: int) -> Poly:
 
 
 def parse_poly2(text: str, line: int = 1) -> Poly2:
-    terms = parse_terms(text, line)
+    terms = _ExprParser(text, line).parse_terms()
     max_j = max((j for (_, j) in terms), default=0)
     slices = []
     for j in range(max_j + 1):
@@ -229,7 +221,7 @@ def _branch_polys(match: re.Match, line: int) -> tuple[Poly, Poly]:
     if len(parts) != 2:
         raise DSLSyntaxError("expected exactly two branch polynomials separated by '|'", line)
     left, right = parts
-    return _poly_at(left, line, start), _poly_at(right, line, start + len(left) + 1)
+    return parse_poly(left, line, start), parse_poly(right, line, start + len(left) + 1)
 
 
 def parse_glued(text: str, line: int = 1) -> GluedFunction:
@@ -299,7 +291,7 @@ def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
             raise DSLSyntaxError(f"coefficient index {i} exceeds declared order {order}", number)
         if i in coeffs:
             raise DSLSyntaxError(f"coefficient {i} given twice", number)
-        coeffs[i] = _poly_at(match.group(2), number, match.start(2))
+        coeffs[i] = parse_poly(match.group(2), number, match.start(2))
         index += 1
     op = BranchOp.of(*(coeffs.get(i, ZERO) for i in range(order + 1)))
     return ParsedOp(op, order), index

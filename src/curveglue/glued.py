@@ -22,18 +22,14 @@ from .poly import Poly, Poly2
 class SpaceSpec:
     """Two curves glued with contact of order m; m = 0 is the coordinate cross."""
 
-    contact_order: int
+    m: int
 
     def __post_init__(self):
-        if self.contact_order < 0:
+        if self.m < 0:
             raise ValueError("contact order must be nonnegative")
 
-    @property
-    def m(self) -> int:
-        return self.contact_order
-
     def __str__(self) -> str:
-        return f"K{self.contact_order}"
+        return f"K{self.m}"
 
 
 def same_space(a, b) -> None:

@@ -20,11 +20,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, ClosureBugError, DegreeCapExceeded, OrderError
 from .glued import GluedFunction, SpaceSpec, make_glued, same_space
-from .poly import NEG_INF, ZERO, Poly, _trim, get_degree_cap, signed_sum
+from .poly import NEG_INF, ZERO, Poly, _poly, _trim, get_degree_cap, signed_sum
 
 # ---------------------------------------------------------------------------
 # Branch operators
@@ -41,11 +42,6 @@ class BranchOp:
     @staticmethod
     def of(*coeffs: Poly) -> "BranchOp":
         return BranchOp(_trim(coeffs))
-
-    @staticmethod
-    def mult(a: Poly) -> "BranchOp":
-        """Multiplication by a."""
-        return BranchOp.of(a)
 
     @staticmethod
     def derivative(coefficient: Poly | None = None, power: int = 1) -> "BranchOp":
@@ -90,84 +86,79 @@ class BranchOp:
         return render_op(self)
 
 
-def _leibniz(op_a: BranchOp, op_b: BranchOp, first: int) -> BranchOp:
-    """The terms r >= first of a_i d^i (b_j d^j .) = a_i sum_r C(i,r) b_j^(r) d^(i-r+j).
+def _nums(op: BranchOp) -> tuple[list[list[int]], int]:
+    """The numerators of op's coefficients over one common denominator."""
+    den = math.lcm(*(a.den for a in op.coeffs))
+    return [[c * (den // a.den) for c in a.nums] for a in op.coeffs], den
 
-    Each b_j's nonzero derivatives up to the order of op_a are taken once.
-    Each product puts C(i,r) b_j^(r) first, so that ``Poly.__mul__`` skips
-    its zero coefficients: in a delta step it is a scaled monomial."""
+
+def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[int]]:
+    """The terms r >= first of a_i d^i (b_j d^j .) = sum_r C(i,r) a_i b_j^(r) d^(i-r+j).
+
+    The operators are integer numerator arrays: ``a[i]`` holds those of a_i
+    over one common denominator, ``b[j]`` those of b_j over another, and the
+    result is over their product.  Arrays, and the lists of them, carry no
+    trailing zero, so lengths are true degrees plus one.
+
+    Each b_j's nonzero derivatives up to the order of a are taken once.
+    :class:`DegreeCapExceeded` is raised for the first product above the cap
+    in the order i, j, r ascending."""
+    cap = get_degree_cap()
     chains = []
-    for b in op_b.coeffs:
-        chain = [b] if b else []
-        while chain and len(chain) < len(op_a.coeffs) and (b := b.derive()):
-            chain.append(b)
+    for bj in b:
+        chain = [bj] if bj else []
+        while chain and len(chain) < len(a) and (bj := [c * t for t, c in enumerate(bj) if t]):
+            chain.append(bj)
         chains.append(chain)
-    out: dict[int, Poly] = {}
-    for i, a in enumerate(op_a.coeffs):
-        if a.is_zero:
+    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1 - first)]
+    for i, ai in enumerate(a):
+        if not ai:
             continue
         for j, chain in enumerate(chains):
             for r in range(first, min(i + 1, len(chain))):
-                d = i - r + j
-                out[d] = out.get(d, ZERO) + (math.comb(i, r) * chain[r]) * a
-    top = max(out) if out else -1
-    return BranchOp.of(*(out.get(d, ZERO) for d in range(top + 1)))
+                br = chain[r]
+                degree = len(br) + len(ai) - 2
+                if degree > cap:
+                    raise DegreeCapExceeded(degree, cap)
+                scale = math.comb(i, r)
+                target = out[i - r + j]
+                target.extend([0] * (degree + 1 - len(target)))
+                for s, c in enumerate(br):
+                    if c:
+                        c *= scale
+                        for t, x in enumerate(ai, s):
+                            target[t] += c * x
+    for target in out:
+        while target and not target[-1]:
+            target.pop()
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def compose(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     """Operator composition: apply op_b first, then op_a."""
-    return _leibniz(op_a, op_b, 0)
+    (a, da), (b, db) = _nums(op_a), _nums(op_b)
+    return BranchOp.of(*(_poly(c, da * db) for c in _leibniz(a, b, 0)))
 
 
 def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     """[op_a, op_b] = op_a op_b - op_b op_a.  The r = 0 terms of the two
     compositions, a_i b_j d^(i+j), cancel, so they are never formed."""
-    return _leibniz(op_a, op_b, 1) - _leibniz(op_b, op_a, 1)
+    (a, da), (b, db) = _nums(op_a), _nums(op_b)
+    pairs = zip_longest(_leibniz(a, b, 1), _leibniz(b, a, 1), fillvalue=())
+    return BranchOp.of(
+        *(_poly([x - y for x, y in zip_longest(p, q, fillvalue=0)], da * db) for p, q in pairs)
+    )
 
 
 def delta_reduce(op: BranchOp, a: Poly) -> BranchOp:
     """The order-lowering map: commutator of op with multiplication by a.
 
-    Multiplication by a has order 0, so the terms r >= 1 of mult(a) op are
-    empty and only those of op mult(a) remain."""
-    return _leibniz(op, BranchOp.mult(a), 1)
-
-
-def _delta_monomial(nums: list[list[int]], n: int, cap: int) -> list[list[int]]:
-    """One delta step by x^n, n >= 1, on integer numerator arrays over a
-    common denominator.  ``nums[i]`` holds the numerators of a_i; arrays and
-    the list of them carry no trailing zero, so lengths are true degrees
-    plus one, in the argument and in the result.  The closed form
-
-        [a_i d^i, x^n] = sum_{r>=1} C(i,r) n!/(n-r)! x^(n-r) a_i d^(i-r)
-
-    multiplies only by integers, so the denominator never changes.  Its top
-    coefficient p n x^(n-1) a_p, for p the order, has one term and never
-    cancels, so only the arrays need trimming.
-
-    The product x^(n-r) a_i has degree n - r + deg a_i, largest at r = 1.
-    :class:`DegreeCapExceeded` is raised for the first product above the
-    cap in the order i, then r, ascending: the product r = 1 of the least
-    such i."""
-    for i, a in enumerate(nums):
-        if i and a and n + len(a) - 2 > cap:
-            raise DegreeCapExceeded(n + len(a) - 2, cap)
-    out: list[list[int]] = [[] for _ in range(len(nums) - 1)]
-    for i, a in enumerate(nums):
-        if not a:
-            continue
-        for r in range(1, min(i, n) + 1):
-            scale = math.comb(i, r) * math.perm(n, r)
-            target = out[i - r]
-            end = n - r + len(a)
-            if len(target) < end:
-                target.extend([0] * (end - len(target)))
-            for t, c in enumerate(a, n - r):
-                target[t] += scale * c
-    for target in out:
-        while target and not target[-1]:
-            target.pop()
-    return out
+    Multiplication by a has order 0, so the terms r >= 1 of a op are empty
+    and only those of op a remain."""
+    nums, den = _nums(op)
+    return BranchOp.of(*(_poly(c, den * a.den) for c in _leibniz(nums, [a.nums], 1)))
 
 
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
@@ -177,13 +168,10 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     (delta by a constant is identically zero, so exponent 0 adds nothing).
     The multisets are walked depth-first in non-decreasing order, so chains
     with a common prefix reduce that prefix once.  The coefficients are put
-    over one common denominator once; each step is then
-    :func:`_delta_monomial` on their integer numerators."""
+    over one common denominator once; each step is then :func:`_leibniz` by
+    x^n on their integer numerators, which keeps that denominator."""
     if k < 0:
         return op.is_zero
-    cap = get_degree_cap()
-    den = math.lcm(*(a.den for a in op.coeffs))
-    nums = [[c * (den // a.den) for c in a.nums] for a in op.coeffs]
 
     def vanishes(reduced: list[list[int]], steps: int, lowest: int) -> bool:
         # Every chain of ``steps`` more deltas with exponents >= lowest.
@@ -192,11 +180,11 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
         if not steps:
             return False
         return all(
-            vanishes(_delta_monomial(reduced, n, cap), steps - 1, n)
+            vanishes(_leibniz(reduced, [[0] * n + [1]], 1), steps - 1, n)
             for n in range(lowest, probe_degree + 1)
         )
 
-    return vanishes(nums, k + 1, 1)
+    return vanishes(_nums(op)[0], k + 1, 1)
 
 
 # ---------------------------------------------------------------------------

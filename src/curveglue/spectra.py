@@ -152,8 +152,7 @@ def _nullity_cross(space: SpaceSpec) -> tuple[IdentityCheck, ...]:
     ]
     for s in samples:
         # Split off the linear jet: (a, b) = (a'(0)x, b'(0)y) + (x,y)(x*atilde, y*btilde).
-        atilde = (s.a - x * s.a.coeff(1)).divide_exact(x * x)
-        btilde = (s.b - x * s.b.coeff(1)).divide_exact(x * x)
+        atilde, btilde = s.a.hadamard_split(2)[1], s.b.hadamard_split(2)[1]
         lhs = (s.a, s.b)
         rhs = (x * s.a.coeff(1) + x * (x * atilde), x * s.b.coeff(1) + x * (x * btilde))
         checks.append(

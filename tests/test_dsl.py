@@ -125,7 +125,7 @@ class TestBlocks:
     def test_comments_and_blanks(self):
         text = "# operator\nbranch x\nop order=0\ncoeff 0: 1  # unit\n\nbranch y\nop order=0\ncoeff 0: 1\n"
         pair = dsl.parse_paired(text)
-        assert pair.d1 == BranchOp.mult(Poly.of(1))
+        assert pair.d1 == BranchOp.of(Poly.of(1))
 
 
 class TestRenderRoundtrip:

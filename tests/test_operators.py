@@ -30,7 +30,7 @@ from curveglue.operators import (
     spanning_family,
     verify_order,
 )
-from curveglue.operators import _delta_monomial, _generate, _variables
+from curveglue.operators import _generate, _variables
 from curveglue.poly import ZERO, Poly, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair
 from curveglue.symbols import SymbolVar, symbol_conditions
@@ -62,9 +62,46 @@ def _two_compositions(op_a, op_b):
     return compose(op_a, op_b) - compose(op_b, op_a)
 
 
+def _poly_leibniz(op_a, op_b, first):
+    """The terms r >= first of a_i d^i (b_j d^j .) = a_i sum_r C(i,r) b_j^(r) d^(i-r+j),
+    walked on Polys: the reference for the integer numerator kernel.
+
+    Each b_j's nonzero derivatives up to the order of op_a are taken once;
+    the products run in the order i, j, r ascending, so a degree cap error
+    names the same product as the kernel's."""
+    chains = []
+    for b in op_b.coeffs:
+        chain = [b] if b else []
+        while chain and len(chain) < len(op_a.coeffs) and (b := b.derive()):
+            chain.append(b)
+        chains.append(chain)
+    out = {}
+    for i, a in enumerate(op_a.coeffs):
+        if a.is_zero:
+            continue
+        for j, chain in enumerate(chains):
+            for r in range(first, min(i + 1, len(chain))):
+                d = i - r + j
+                out[d] = out.get(d, ZERO) + (math.comb(i, r) * chain[r]) * a
+    top = max(out) if out else -1
+    return BranchOp.of(*(out.get(d, ZERO) for d in range(top + 1)))
+
+
+def _compose_reference(op_a, op_b):
+    return _poly_leibniz(op_a, op_b, 0)
+
+
+def _commutator_reference(op_a, op_b):
+    return _poly_leibniz(op_a, op_b, 1) - _poly_leibniz(op_b, op_a, 1)
+
+
+def _delta_reduce_reference(op, a):
+    return _poly_leibniz(op, BranchOp.of(a), 1)
+
+
 def _delta_chain_reference(op, k, probe_degree):
     """verify_order as a prefix-shared walk on BranchOps, each step one
-    delta_reduce on Polys: the reference for the integer numerator kernel."""
+    delta by x^n on Polys."""
     if k < 0:
         return op.is_zero
 
@@ -74,7 +111,7 @@ def _delta_chain_reference(op, k, probe_degree):
         if not steps:
             return False
         return all(
-            vanishes(delta_reduce(reduced, Poly.monomial(n)), steps - 1, n)
+            vanishes(_delta_reduce_reference(reduced, Poly.monomial(n)), steps - 1, n)
             for n in range(lowest, probe_degree + 1)
         )
 
@@ -89,7 +126,7 @@ def _chain_by_chain(op, k, probe_degree):
     for exps in itertools.combinations_with_replacement(range(1, probe_degree + 1), k + 1):
         reduced = op
         for n in exps:
-            reduced = _two_compositions(reduced, BranchOp.mult(Poly.monomial(n)))
+            reduced = _two_compositions(reduced, BranchOp.of(Poly.monomial(n)))
             if reduced.is_zero:
                 break
         if not reduced.is_zero:
@@ -122,7 +159,7 @@ class TestCompose:
             assert left.apply(p) == D.apply(XD.apply(p))
 
     def test_identity_multiplication(self):
-        ident = BranchOp.mult(Poly.of(1))
+        ident = BranchOp.of(Poly.of(1))
         op = BranchOp.of(X, Poly.of(1, 1), X2)
         assert compose(op, ident) == op
         assert compose(ident, op) == op
@@ -172,10 +209,10 @@ class TestCommutator:
 
 class TestDeltaChains:
     def test_delta_x_of_derivative(self):
-        assert delta_reduce(D, X) == BranchOp.mult(Poly.of(1))
+        assert delta_reduce(D, X) == BranchOp.of(Poly.of(1))
 
     def test_multiplications_commute(self):
-        assert delta_reduce(BranchOp.mult(Poly.of(2, 0, 5)), X).is_zero
+        assert delta_reduce(BranchOp.of(Poly.of(2, 0, 5)), X).is_zero
 
     def test_delta_x_of_second_derivative(self):
         assert delta_reduce(BranchOp.derivative(power=2), X) == BranchOp.derivative(Poly.of(2))
@@ -186,7 +223,7 @@ class TestDeltaChains:
         assert not verify_order(op, 1, probe_degree=6)
 
     def test_multiplication_is_order_zero(self):
-        assert verify_order(BranchOp.mult(Poly.of(1, 2, 3)), 0, probe_degree=4)
+        assert verify_order(BranchOp.of(Poly.of(1, 2, 3)), 0, probe_degree=4)
 
     def test_zero_operator(self):
         assert verify_order(BranchOp.of(), 0, probe_degree=4)
@@ -226,36 +263,21 @@ class TestDeltaChains:
         assert not verify_order(op, k - 1, probe_degree=8)
 
 
-def _verdict(order_check, op, k, probe_degree):
-    """The verdict, or the arguments of the degree cap error it raised."""
+def _outcome(function, *args):
+    """The result, or the arguments of the degree cap error raised."""
     try:
-        return order_check(op, k, probe_degree)
+        return function(*args)
     except DegreeCapExceeded as exc:
         return exc.args, exc.degree, exc.cap
 
 
-delta_ops = st.lists(
-    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=7).map(
-        lambda cs: Poly.of(*cs)
-    ),
-    max_size=6,
-).map(lambda coeffs: BranchOp.of(*coeffs))
+delta_polys = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=7).map(
+    lambda cs: Poly.of(*cs)
+)
+delta_ops = st.lists(delta_polys, max_size=6).map(lambda coeffs: BranchOp.of(*coeffs))
 
 
 class TestDeltaChainKernel:
-    @settings(max_examples=200)
-    @given(delta_ops, st.integers(1, 9))
-    @example(BranchOp.of(ZERO, Poly.of(-1), X), 2)  # [x d^2 - d, x^2] = 4x^2 d
-    def test_step_matches_delta_reduce(self, op, n):
-        den = math.lcm(*(a.den for a in op.coeffs))
-        nums = [[c * (den // a.den) for c in a.nums] for a in op.coeffs]
-        with degree_cap(128):
-            expected = delta_reduce(op, Poly.monomial(n))
-            step = _delta_monomial(nums, n, 128)
-        assert [[Fraction(c, den) for c in a] for a in step] == [
-            list(a.coeffs) for a in expected.coeffs
-        ]
-
     def test_cap_error_names_the_first_product(self):
         # a_1 and a_2 both exceed the cap; the Poly walk multiplies a_1 first.
         op = BranchOp.of(ZERO, Poly.monomial(6), Poly.monomial(5))
@@ -265,11 +287,26 @@ class TestDeltaChainKernel:
             assert (exc.value.degree, exc.value.cap) == (6, 4)
 
     @settings(max_examples=150, deadline=None)
-    @given(delta_ops, st.integers(-1, 4), st.integers(0, 9), st.integers(4, 40))
-    def test_matches_poly_reference(self, op, k, probe_degree, cap):
+    @given(
+        delta_ops,
+        delta_ops,
+        delta_polys,
+        st.integers(-1, 4),
+        st.integers(0, 9),
+        st.integers(4, 40),
+    )
+    @example(BranchOp.of(ZERO, Poly.of(-1), X), D, X2, 1, 2, 40)  # [x d^2 - d, x^2] = 4x^2 d
+    def test_matches_poly_reference(self, a, b, p, k, probe_degree, cap):
+        # Results and degree cap errors, product for product, of every
+        # caller of the integer kernel against the Poly walk.
         with degree_cap(cap):
-            expected = _verdict(_delta_chain_reference, op, k, probe_degree)
-            assert _verdict(verify_order, op, k, probe_degree) == expected
+            for function, reference, args in (
+                (compose, _compose_reference, (a, b)),
+                (commutator, _commutator_reference, (a, b)),
+                (delta_reduce, _delta_reduce_reference, (a, p)),
+                (verify_order, _delta_chain_reference, (a, k, probe_degree)),
+            ):
+                assert _outcome(function, *args) == _outcome(reference, *args), function
 
     @settings(max_examples=150, deadline=None)
     @given(delta_ops, st.integers(-1, 4), st.integers(1, 8))
@@ -574,7 +611,7 @@ class TestPairs:
     def test_compose_with_identity(self):
         pair = make_pair(XD, XD, K1)
         one = Poly.of(1)
-        ident = make_pair(BranchOp.mult(one), BranchOp.mult(one), K1)
+        ident = make_pair(BranchOp.of(one), BranchOp.of(one), K1)
         composed = pair_compose(pair, ident)
         assert (composed.d1, composed.d2) == (pair.d1, pair.d2)
 

@@ -60,7 +60,7 @@ class TestPairSymbol:
 
     def test_multiplication_pair(self):
         q = Poly.of(1, 2, 3)
-        s = pair_symbol(make_pair(BranchOp.mult(q), BranchOp.mult(q), K0))
+        s = pair_symbol(make_pair(BranchOp.of(q), BranchOp.of(q), K0))
         assert (s.degree, s.a, s.b) == (0, q, q)
 
 
