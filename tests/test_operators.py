@@ -30,7 +30,7 @@ from curveglue.operators import (
     spanning_family,
     verify_order,
 )
-from curveglue.operators import _generate, _variables
+from curveglue.operators import _generate, _leibniz, _nums, _variables
 from curveglue.poly import ZERO, Poly, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair
 from curveglue.symbols import SymbolVar, symbol_conditions
@@ -278,6 +278,19 @@ delta_ops = st.lists(delta_polys, max_size=6).map(lambda coeffs: BranchOp.of(*co
 
 
 class TestDeltaChainKernel:
+    @settings(max_examples=200)
+    @given(delta_ops, st.integers(1, 9))
+    @example(BranchOp.of(ZERO, Poly.of(-1), X), 2)  # [x d^2 - d, x^2] = 4x^2 d
+    def test_step_matches_delta_reduce(self, op, n):
+        # One verify_order step, delta by x^n on the integer numerators.
+        nums, den = _nums(op)
+        with degree_cap(128):
+            expected = delta_reduce(op, Poly.monomial(n))
+            step = _leibniz(nums, [[0] * n + [1]], 1)
+        assert [[Fraction(c, den) for c in a] for a in step] == [
+            list(a.coeffs) for a in expected.coeffs
+        ]
+
     def test_cap_error_names_the_first_product(self):
         # a_1 and a_2 both exceed the cap; the Poly walk multiplies a_1 first.
         op = BranchOp.of(ZERO, Poly.monomial(6), Poly.monomial(5))
