@@ -191,9 +191,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
-    lines = list(dsl._numbered_lines(_read(args.file)))
-    expr = " ".join(line for _, line in lines)
-    surface = dsl.parse_poly2(expr, lines[0][0] if lines else 1)
+    surface = dsl.parse_poly2(_read(args.file))
     glued = restrict_to_branches(surface, _embed_poly(args), args.space)
     text = dsl.render_glued(glued)
     _emit(args, [text], args.space, result={

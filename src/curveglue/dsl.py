@@ -4,10 +4,15 @@ characters, shared between files and the CLI.
 Expression grammar::
 
     rational := INT ('/' INT)?
-    mono     := rational ('*'? var ('^' INT)?)? | var ('^' INT)?
-    poly     := '-'? mono (('+'|'-') mono)*
+    factor   := var ('^' INT)?
+    mono     := rational ('*'? factor)* | factor ('*'? factor)*
+    poly     := ('+'|'-')? mono (('+'|'-') mono)*
 
-with var one of x, y.  Line comments start with '#'.  Block forms:
+with var one of x, y.  Juxtaposition multiplies (``2 x^2 y``), each
+variable appears at most once per mono, and an exponent is at most the
+degree cap.  A plane polynomial (``parse_poly2``) may span several lines,
+a line break counting as whitespace.  Line comments start with '#'.
+Block forms:
 
     pair m=<INT>: <poly> | <poly>
     symbol deg=<INT> m=<INT>: <poly> | <poly>
@@ -35,23 +40,6 @@ _TOKEN = re.compile(
 )
 
 
-def _tokens(text: str, line: int, offset: int):
-    """(kind, text, column) tokens; columns count from ``offset`` + 1."""
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            break
-        bad = match.group("bad")
-        if bad:
-            raise DSLSyntaxError(f"unexpected character {bad!r}", line, offset + match.start("bad") + 1)
-        for kind in ("num", "var", "op"):
-            if match.group(kind):
-                yield kind, match.group(kind), offset + match.start(kind) + 1
-                break
-        pos = match.end()
-
-
 def _rational(text: str, line: int, column: int | None = None) -> Fraction:
     try:
         return Fraction(text)
@@ -71,96 +59,67 @@ def _capped(text: str, what: str, line: int, column: int) -> int:
     return int(value)
 
 
-class _ExprParser:
-    def __init__(self, text: str, line: int, offset: int = 0):
-        self.line = line
-        self.toks = list(_tokens(text, line, offset))
-        self.pos = 0
-        if not self.toks:
-            raise DSLSyntaxError("empty expression", line)
+def _terms(lines, offset: int = 0) -> dict[tuple[int, int], Fraction]:
+    """The {(x power, y power): coefficient} sum of an expression spread over
+    ``(number, text)`` lines; a line break is whitespace.  Error columns
+    count from ``offset`` + 1, and errors at the end of input have none."""
+    toks = []
+    number = 1
+    for number, text in lines:
+        for match in _TOKEN.finditer(text):
+            kind = match.lastgroup
+            column = offset + match.start(kind) + 1
+            if kind == "bad":
+                raise DSLSyntaxError(f"unexpected character {match.group(kind)!r}", number, column)
+            toks.append((match.group(kind), number, column))
+    if not toks:
+        raise DSLSyntaxError("empty expression", number)
+    toks.append(("", number, None))
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def fail(message: str):
+        raise DSLSyntaxError(message, *toks[i][1:])
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise DSLSyntaxError("unexpected end of expression", self.line)
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str):
-        tok = self.peek()
-        col = tok[2] if tok else None
-        raise DSLSyntaxError(message, self.line, col)
-
-    def parse_terms(self) -> dict[tuple[int, int], Fraction]:
-        terms: dict[tuple[int, int], Fraction] = {}
-        sign = 1
-        tok = self.peek()
-        if tok and tok[1] == "-":
-            sign = -1
-            self.next()
-        elif tok and tok[1] == "+":
-            self.next()
-        while True:
-            coeff, powers = self.parse_mono()
-            key = (powers.get("x", 0), powers.get("y", 0))
-            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
-            tok = self.peek()
-            if tok is None:
-                return terms
-            if tok[1] not in "+-":
-                self.fail(f"expected '+' or '-', got {tok[1]!r}")
-            sign = 1 if tok[1] == "+" else -1
-            self.next()
-
-    def parse_mono(self):
+    terms: dict[tuple[int, int], Fraction] = {}
+    sign = -1 if toks[0][0] == "-" else 1
+    i = 1 if toks[0][0] in ("+", "-") else 0
+    while True:
+        text, number, column = toks[i]
         coeff = Fraction(1)
-        powers: dict[str, int] = {}
-        saw_coeff = False
-        tok = self.peek()
-        if tok is None:
-            self.fail("expected a term")
-        if tok[0] == "num":
-            coeff = _rational(tok[1], self.line, tok[2])
-            saw_coeff = True
-            self.next()
-            tok = self.peek()
-            if tok and tok[1] == "*":
-                self.next()
-                tok = self.peek()
-                if tok is None or tok[0] != "var":
-                    self.fail("expected a variable after '*'")
-        saw_var = False
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "var":
+        powers = {}
+        if text[:1].isdigit():
+            coeff = _rational(text, number, column)
+            i += 1
+        elif text not in ("x", "y"):
+            fail("expected a term")
+        while True:  # factors, each after an optional '*'
+            if toks[i][0] == "*":
+                i += 1
+                if toks[i][0] not in ("x", "y"):
+                    fail("expected a variable after '*'")
+            var = toks[i][0]
+            if var not in ("x", "y"):
                 break
-            var = tok[1]
-            self.next()
             power = 1
-            tok = self.peek()
-            if tok and tok[1] == "^":
-                self.next()
-                tok = self.peek()
-                if tok is None or tok[0] != "num" or "/" in tok[1]:
-                    self.fail("expected an integer exponent after '^'")
-                power = _capped(tok[1], "exponent", self.line, tok[2])
-                self.next()
+            i += 1
+            if toks[i][0] == "^":
+                i += 1
+                text, number, column = toks[i]
+                if not text[:1].isdigit() or "/" in text:
+                    fail("expected an integer exponent after '^'")
+                power = _capped(text, "exponent", number, column)
+                i += 1
             if var in powers:
-                self.fail(f"variable {var!r} repeated in one term")
+                fail(f"variable {var!r} repeated in one term")
             powers[var] = power
-            saw_var = True
-            tok = self.peek()
-            if tok and tok[1] == "*":
-                self.next()
-                tok = self.peek()
-                if tok is None or tok[0] != "var":
-                    self.fail("expected a variable after '*'")
-        if not saw_coeff and not saw_var:
-            self.fail("expected a term")
-        return coeff, powers
+        key = (powers.get("x", 0), powers.get("y", 0))
+        terms[key] = terms.get(key, 0) + sign * coeff
+        text = toks[i][0]
+        if not text:
+            return terms
+        if text not in ("+", "-"):
+            fail(f"expected '+' or '-', got {text!r}")
+        sign = 1 if text == "+" else -1
+        i += 1
 
 
 def _strip(line: str) -> str:
@@ -169,31 +128,40 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].rstrip()
 
 
+def _numbered_lines(text: str):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = _strip(raw)
+        if line:
+            yield number, line
+
+
+def _poly_of(coeffs: dict[int, Fraction]) -> Poly:
+    return Poly.of(*(coeffs.get(n, 0) for n in range(max(coeffs, default=-1) + 1)))
+
+
 def parse_poly(text: str, line: int = 1, offset: int = 0) -> Poly:
     """Parse a univariate polynomial; x and y are both accepted as the
     indeterminate (branch naming is display only), but not mixed.  Error
     columns count from ``offset`` + 1."""
-    terms = _ExprParser(text, line, offset).parse_terms()
+    terms = _terms([(line, text)], offset)
     has_x = any(i for (i, _), c in terms.items() if c)
     has_y = any(j for (_, j), c in terms.items() if c)
     if has_x and has_y:
         raise DSLSyntaxError("expected a univariate polynomial, found both x and y", line)
     coeffs: dict[int, Fraction] = {}
     for (i, j), c in terms.items():
-        coeffs[i + j] = coeffs.get(i + j, Fraction(0)) + c
-    top = max(coeffs, default=-1)
-    return Poly.of(*(coeffs.get(n, Fraction(0)) for n in range(top + 1)))
+        coeffs[i + j] = coeffs.get(i + j, 0) + c
+    return _poly_of(coeffs)
 
 
-def parse_poly2(text: str, line: int = 1) -> Poly2:
-    terms = _ExprParser(text, line).parse_terms()
-    max_j = max((j for (_, j) in terms), default=0)
-    slices = []
-    for j in range(max_j + 1):
-        row = {i: c for (i, jj), c in terms.items() if jj == j}
-        top = max(row, default=-1)
-        slices.append(Poly.of(*(row.get(n, Fraction(0)) for n in range(top + 1))))
-    return Poly2.of(*slices)
+def parse_poly2(text: str) -> Poly2:
+    """Parse a plane polynomial in x and y, which may span several lines;
+    comments and line breaks are whitespace, and errors name their line."""
+    terms = _terms(_numbered_lines(text))
+    max_j = max(j for (_, j) in terms)
+    return Poly2.of(*(
+        _poly_of({i: c for (i, jj), c in terms.items() if jj == j}) for j in range(max_j + 1)
+    ))
 
 
 _PAIR = re.compile(r"^\s*pair\s+m\s*=\s*(?P<m>\d+)\s*:\s*(?P<body>.*)$")
@@ -253,25 +221,13 @@ def parse_char(text: str, line: int = 1) -> Character:
     return make_character("sing" if branch == "sing" else int(branch), at)
 
 
-class ParsedOp(NamedTuple):
-    op: BranchOp
-    declared_order: int
-
-
 class ParsedPair(NamedTuple):
     d1: BranchOp
     d2: BranchOp
     declared_order: int
 
 
-def _numbered_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if line:
-            yield number, line
-
-
-def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
+def _parse_op_block(lines: list, index: int) -> tuple[tuple[BranchOp, int], int]:
     if index >= len(lines):
         raise DSLSyntaxError("expected 'op order=<INT>' after this line", lines[-1][0])
     number, line = lines[index]
@@ -294,11 +250,11 @@ def _parse_op_block(lines: list, index: int) -> tuple[ParsedOp, int]:
         coeffs[i] = parse_poly(match.group(2), number, match.start(2))
         index += 1
     op = BranchOp.of(*(coeffs.get(i, ZERO) for i in range(order + 1)))
-    return ParsedOp(op, order), index
+    return (op, order), index
 
 
 def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
-    blocks = {}
+    blocks = []
     for expected in ("x", "y"):
         if index >= len(lines):
             raise DSLSyntaxError(f"missing 'branch {expected}' block", lines[-1][0])
@@ -306,10 +262,10 @@ def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
         match = _BRANCH.match(line)
         if not match or match.group(1) != expected:
             raise DSLSyntaxError(f"expected 'branch {expected}'", number)
-        parsed, index = _parse_op_block(lines, index + 1)
-        blocks[expected] = parsed
-    order = max(blocks["x"].declared_order, blocks["y"].declared_order)
-    return ParsedPair(blocks["x"].op, blocks["y"].op, order), index
+        block, index = _parse_op_block(lines, index + 1)
+        blocks.append(block)
+    (d1, order1), (d2, order2) = blocks
+    return ParsedPair(d1, d2, max(order1, order2)), index
 
 
 def parse_paired(text: str) -> ParsedPair:

@@ -100,6 +100,8 @@ class Poly:
 
     @staticmethod
     def monomial(power: int, coefficient=1) -> "Poly":
+        if power < 0:
+            raise ValueError("monomial power must be nonnegative")
         c = frac(coefficient)
         if c == 0:
             return ZERO
@@ -187,11 +189,14 @@ class Poly:
         return self.coeff(r) * math.factorial(r)
 
     def jet(self, order: int) -> "Poly":
-        """The m-jet at 0: the terms up to ``x**order``."""
-        return _poly(self.nums[:order + 1], self.den)
+        """The m-jet at 0: the terms up to ``x**order``, zero for a negative
+        order."""
+        return _poly(self.nums[:max(order + 1, 0)], self.den)
 
     def shift(self, r: int) -> "Poly":
         """Multiply by x**r."""
+        if r < 0:
+            raise ValueError("shift power must be nonnegative")
         if self.is_zero:
             return ZERO
         return Poly((0,) * r + self.nums, self.den)

@@ -424,6 +424,15 @@ class TestErrorLineNumbers:
         assert status == 2
         assert "at line 4" in captured.err
 
+    def test_restrict_multi_line_surface(self, capsys, monkeypatch):
+        for text, where in (
+            ("x*y +\n  x^2 $\n", "at line 2, column 7\n"),
+            ("x*y +\n\n  x^2 + y^\n", "at line 3\n"),
+        ):
+            status, captured = run_stdin(capsys, monkeypatch, text, "restrict", "-", "--space", "K1")
+            assert status == 2
+            assert captured.err.endswith(where)
+
     def test_input_ending_after_branch_label(self, capsys, monkeypatch):
         text = "# a pair\n\nbranch x\n"
         status, captured = run_stdin(capsys, monkeypatch, text, "check", "-", "--space", "K1")

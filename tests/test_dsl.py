@@ -17,6 +17,152 @@ from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.spectra import make_character
 
 
+# ---------------------------------------------------------------------------
+# Reference expression parser: the earlier token generator and
+# recursive-descent class, kept to check the one-pass parser against.
+
+
+def _tokens(text: str, line: int, offset: int):
+    """(kind, text, column) tokens; columns count from ``offset`` + 1."""
+    pos = 0
+    while pos < len(text):
+        match = dsl._TOKEN.match(text, pos)
+        if match is None:
+            break
+        bad = match.group("bad")
+        if bad:
+            raise DSLSyntaxError(f"unexpected character {bad!r}", line, offset + match.start("bad") + 1)
+        for kind in ("num", "var", "op"):
+            if match.group(kind):
+                yield kind, match.group(kind), offset + match.start(kind) + 1
+                break
+        pos = match.end()
+
+
+class _ExprParser:
+    def __init__(self, text: str, line: int, offset: int = 0):
+        self.line = line
+        self.toks = list(_tokens(text, line, offset))
+        self.pos = 0
+        if not self.toks:
+            raise DSLSyntaxError("empty expression", line)
+
+    def peek(self):
+        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            raise DSLSyntaxError("unexpected end of expression", self.line)
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str):
+        tok = self.peek()
+        col = tok[2] if tok else None
+        raise DSLSyntaxError(message, self.line, col)
+
+    def parse_terms(self) -> dict[tuple[int, int], Fraction]:
+        terms: dict[tuple[int, int], Fraction] = {}
+        sign = 1
+        tok = self.peek()
+        if tok and tok[1] == "-":
+            sign = -1
+            self.next()
+        elif tok and tok[1] == "+":
+            self.next()
+        while True:
+            coeff, powers = self.parse_mono()
+            key = (powers.get("x", 0), powers.get("y", 0))
+            terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+            tok = self.peek()
+            if tok is None:
+                return terms
+            if tok[1] not in "+-":
+                self.fail(f"expected '+' or '-', got {tok[1]!r}")
+            sign = 1 if tok[1] == "+" else -1
+            self.next()
+
+    def parse_mono(self):
+        coeff = Fraction(1)
+        powers: dict[str, int] = {}
+        saw_coeff = False
+        tok = self.peek()
+        if tok is None:
+            self.fail("expected a term")
+        if tok[0] == "num":
+            coeff = dsl._rational(tok[1], self.line, tok[2])
+            saw_coeff = True
+            self.next()
+            tok = self.peek()
+            if tok and tok[1] == "*":
+                self.next()
+                tok = self.peek()
+                if tok is None or tok[0] != "var":
+                    self.fail("expected a variable after '*'")
+        saw_var = False
+        while True:
+            tok = self.peek()
+            if tok is None or tok[0] != "var":
+                break
+            var = tok[1]
+            self.next()
+            power = 1
+            tok = self.peek()
+            if tok and tok[1] == "^":
+                self.next()
+                tok = self.peek()
+                if tok is None or tok[0] != "num" or "/" in tok[1]:
+                    self.fail("expected an integer exponent after '^'")
+                power = dsl._capped(tok[1], "exponent", self.line, tok[2])
+                self.next()
+            if var in powers:
+                self.fail(f"variable {var!r} repeated in one term")
+            powers[var] = power
+            saw_var = True
+            tok = self.peek()
+            if tok and tok[1] == "*":
+                self.next()
+                tok = self.peek()
+                if tok is None or tok[0] != "var":
+                    self.fail("expected a variable after '*'")
+        if not saw_coeff and not saw_var:
+            self.fail("expected a term")
+        return coeff, powers
+
+
+def _reference_poly(text: str, line: int, offset: int) -> Poly:
+    terms = _ExprParser(text, line, offset).parse_terms()
+    has_x = any(i for (i, _), c in terms.items() if c)
+    has_y = any(j for (_, j), c in terms.items() if c)
+    if has_x and has_y:
+        raise DSLSyntaxError("expected a univariate polynomial, found both x and y", line)
+    coeffs: dict[int, Fraction] = {}
+    for (i, j), c in terms.items():
+        coeffs[i + j] = coeffs.get(i + j, Fraction(0)) + c
+    top = max(coeffs, default=-1)
+    return Poly.of(*(coeffs.get(n, Fraction(0)) for n in range(top + 1)))
+
+
+def _reference_poly2(text: str) -> Poly2:
+    terms = _ExprParser(text, 1).parse_terms()
+    max_j = max((j for (_, j) in terms), default=0)
+    slices = []
+    for j in range(max_j + 1):
+        row = {i: c for (i, jj), c in terms.items() if jj == j}
+        top = max(row, default=-1)
+        slices.append(Poly.of(*(row.get(n, Fraction(0)) for n in range(top + 1))))
+    return Poly2.of(*slices)
+
+
+def _outcome(parse, *args):
+    """The parsed value, or the error's type, message, line and column."""
+    try:
+        return parse(*args)
+    except DSLSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
 class TestPolyExpressions:
     def test_spec_example(self):
         assert dsl.parse_poly("3/2*x^2 - x + 1") == Poly.of(1, -1, Fraction(3, 2))
@@ -60,6 +206,38 @@ class TestPolyExpressions:
     def test_bivariate(self):
         F = dsl.parse_poly2("x*y + 2*x^2 - 1")
         assert F == Poly2.of(Poly.of(-1, 0, 2), Poly.monomial(1))
+        assert dsl.parse_poly2("2 x^2 y") == Poly2.of(Poly.of(), Poly.of(0, 0, 2))
+
+    def test_bivariate_lines_and_comments(self):
+        # A line break is whitespace, so x and y on two lines multiply.
+        assert dsl.parse_poly2("x  # first factor\n\n  y\n") == dsl.parse_poly2("x*y")
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_poly2("# nothing\n\n")
+        assert (str(err.value), err.value.column) == ("empty expression at line 1", None)
+
+
+# Single-line text from DSL pieces, with 'var^number' factors drawn as often
+# as single pieces so that exponents other than plain integers turn up.
+NUMBERS = ["2", "10", "0", "3/4", "1/0", "1" + "0" * 4999]
+EXPRESSION_PIECES = ["x", "y", *NUMBERS, "*", "^", "+", "-", " ", "$"]
+factors = st.builds("{}^{}".format, st.sampled_from("xy"), st.sampled_from(NUMBERS))
+expressions = st.lists(
+    st.one_of(st.sampled_from(EXPRESSION_PIECES), factors), max_size=12
+).map("".join)
+
+
+class TestAgainstReferenceParser:
+    """The one-pass parser gives the reference parser's value or error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(expressions, st.integers(1, 99), st.integers(0, 40))
+    def test_poly(self, text, line, offset):
+        assert _outcome(dsl.parse_poly, text, line, offset) == _outcome(_reference_poly, text, line, offset)
+
+    @settings(max_examples=400, deadline=None)
+    @given(expressions)
+    def test_poly2(self, text):
+        assert _outcome(dsl.parse_poly2, text) == _outcome(_reference_poly2, text)
 
 
 class TestBlocks:

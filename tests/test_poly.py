@@ -150,6 +150,10 @@ class TestJet:
     def test_higher_term_killed(self):
         assert Poly.monomial(3).jet(2) == Poly.of()
 
+    def test_negative_order_is_zero(self):
+        for order in (-1, -2, -5):
+            assert Poly.of(1, 2, 3).jet(order) == Poly.of()
+
     @settings(max_examples=100)
     @given(polys(5), polys(5), st.integers(min_value=0, max_value=4))
     def test_ring_map(self, p, q, m):
@@ -179,6 +183,12 @@ class TestHadamardSplit:
         head, tail = Poly.of(5).hadamard_split(3)
         assert head == Poly.of(5)
         assert tail == Poly.of()
+
+    def test_negative_powers_rejected(self):
+        for build in (lambda: Poly.of(1, 2).shift(-1), lambda: Poly.of().shift(-1),
+                      lambda: Poly.monomial(-1), lambda: Poly.monomial(-1, 0)):
+            with pytest.raises(ValueError):
+                build()
 
     @settings(max_examples=150)
     @given(polys(8), st.integers(min_value=1, max_value=6))
