@@ -49,10 +49,14 @@ def _cap_arg(value: str) -> int:
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise CurveGlueError(f"{name}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def _poly_coeffs(p: Poly) -> list[str]:

@@ -11,22 +11,22 @@ of y = 0 and y = h(x).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import EmbeddingError, JetMismatch, SpaceMismatch
 from .poly import Poly, Poly2
 
 
-@dataclass(frozen=True)
-class SpaceSpec:
+class SpaceSpec(NamedTuple("SpaceSpec", [("m", int)])):
     """Two curves glued with contact of order m; m = 0 is the coordinate cross."""
 
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __new__(cls, m: int):
+        if m < 0:
             raise ValueError("contact order must be nonnegative")
+        return super().__new__(cls, m)
 
     def __str__(self) -> str:
         return f"K{self.m}"
@@ -43,8 +43,7 @@ def canonical_embedding(space: SpaceSpec) -> Poly:
     return Poly.monomial(space.m + 1)
 
 
-@dataclass(frozen=True)
-class GluedFunction:
+class GluedFunction(NamedTuple):
     """Pair (f, g) of branch polynomials with matching m-jets at 0.
 
     Construct through :func:`make_glued`, which enforces the jet condition;

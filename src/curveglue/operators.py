@@ -17,7 +17,6 @@ finite linear system:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
@@ -31,8 +30,7 @@ from .poly import NEG_INF, ZERO, Poly, _poly, _trim, get_degree_cap, signed_sum
 # Branch operators
 
 
-@dataclass(frozen=True)
-class BranchOp:
+class BranchOp(NamedTuple):
     """Operator sum a_i(x) d^i on one branch; ``coeffs[i]`` is a_i.
 
     The top coefficient is nonzero (zero operator = empty tuple)."""
@@ -266,16 +264,14 @@ def render_linear(row: dict[int, Fraction], variables) -> str:
     return signed_sum((c, variables[col].name) for col, c in row.items()) + " = 0"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """A constraint row that evaluates to ``lhs`` instead of 0."""
 
     constraint: str
     lhs: Fraction
 
 
-@dataclass(frozen=True)
-class ConditionSet:
+class ConditionSet(NamedTuple):
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space.
 
@@ -288,7 +284,7 @@ class ConditionSet:
     space: SpaceSpec
     order: int
     variables: tuple[JetVar, ...]
-    sparse_rows: tuple[dict[int, Fraction], ...] = field(hash=False)
+    sparse_rows: tuple[dict[int, Fraction], ...]
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -372,8 +368,7 @@ def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:
 # Admissibility checks
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     space: SpaceSpec
     order: int
     violations: tuple[Violation, ...]
@@ -412,8 +407,7 @@ def default_probe_degree(space: SpaceSpec, k: int) -> int:
 # Admissible pairs
 
 
-@dataclass(frozen=True)
-class PairedOp:
+class PairedOp(NamedTuple):
     """Admissible pair (D1, D2) of order k; build through :func:`make_pair`."""
 
     d1: BranchOp

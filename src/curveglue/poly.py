@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DegreeCapExceeded, ExactDivisionError
 
@@ -79,14 +79,13 @@ def _poly(nums, den: int) -> "Poly":
     return Poly(nums, den)
 
 
-@dataclass(frozen=True, slots=True)
-class Poly:
+class Poly(NamedTuple):
     """Univariate polynomial; ``coeffs[i] == nums[i] / den`` multiplies ``x**i``.
 
     The form is canonical: ``den`` is positive, ``gcd(den, *nums)`` is 1 and
     ``nums`` carries no trailing zero, so the zero polynomial is ``Poly((), 1)``
     and ``degree`` is -inf for it.  Equal values therefore have equal fields,
-    and the dataclass equality and hash are value equality.
+    and the tuple equality and hash of the fields are value equality.
     """
 
     nums: tuple[int, ...]
@@ -277,8 +276,7 @@ def poly_str(p: Poly, var: str = "x") -> str:
     return signed_sum((c, _power(var, n)) for n, c in reversed(tuple(enumerate(p.coeffs))))
 
 
-@dataclass(frozen=True)
-class Poly2:
+class Poly2(NamedTuple):
     """Bivariate polynomial, stored as y-slices: ``slices[j]`` is the
     coefficient (a univariate Poly in x) of y**j.  Trailing zero slices are
     trimmed, so the grid representation has no all-zero top rows."""

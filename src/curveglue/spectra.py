@@ -11,9 +11,8 @@ constructively.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import OrderError, UnsupportedSpaceError
 from .glued import GluedFunction, SpaceSpec, make_glued, random_glued
@@ -24,8 +23,7 @@ from .symbols import SymbolElem, check_symbol_conditions, make_symbol, symbol_mu
 SINGULAR = "sing"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(NamedTuple):
     """Evaluation character: a point of the glued space.
 
     branch is 1, 2 or "sing"; base_point is 0 exactly when singular.
@@ -125,8 +123,7 @@ def maximal_ideal_factor(s: SymbolElem) -> tuple[SymbolElem, SymbolElem]:
     return g, t
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -13,7 +13,6 @@ l*a_s*a_t' - n*a_t*a_s' branchwise for degrees l and n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -58,8 +57,7 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     return ConditionSet(SpaceSpec(m), degree, variables, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SymbolElem:
+class SymbolElem(NamedTuple):
     """Graded symbol: a degree and the pair of leading coefficients.
 
     The degree is structural data, not inferable from the coefficients;

@@ -6,6 +6,8 @@ against a file in tests/golden/.
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -217,6 +219,20 @@ class TestExitStatusContract:
         status, captured = run_stdin(capsys, monkeypatch, "pair m=0: x | 0\n", "extend", "-")
         assert status == 0
         assert captured.out.strip() == "x - y"
+
+    def test_non_utf8_file_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xffbranch x")
+        status, captured = run(capsys, "check", bad, "--space", "K0")
+        assert status == 2
+        assert captured.err == f"error: {bad}: not valid UTF-8 at byte 0\n"
+
+    def test_non_utf8_stdin_is_input_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdin", stdin)
+        status, captured = run(capsys, "check", "-", "--space", "K0")
+        assert status == 2
+        assert captured.err == "error: stdin: not valid UTF-8 at byte 0\n"
 
     def test_explicit_order_override(self, capsys):
         # The Euler pair is also admissible when regarded as order 2.
@@ -495,3 +511,18 @@ def test_mutated_data_ends_in_an_exit_status(text):
         assert status in (0, 1, 2), (argv, text)
         if status == 2:
             assert err.startswith("error:"), (argv, text)
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Start-up guard: importing the CLI loads neither module, whose import
+    costs every CLI call.  ``-S`` keeps installed ``.pth`` files out."""
+    code = "import curveglue.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
