@@ -60,11 +60,9 @@ from .sampling import random_admissible_pair, random_symbol
 from .spectra import (
     Character,
     char_eval,
-    char_is_homomorphism,
     make_character,
     maximal_ideal_factor,
     nullity_identity_check,
-    probe_homomorphism,
     separating_witness,
 )
 from .symbols import (

@@ -24,9 +24,16 @@ class SpaceSpec(NamedTuple("SpaceSpec", [("m", int)])):
     __slots__ = ()
 
     def __new__(cls, m: int):
+        if type(m) is not int:
+            raise TypeError(f"contact order must be an int, not {type(m).__name__}")
         if m < 0:
             raise ValueError("contact order must be nonnegative")
         return super().__new__(cls, m)
+
+    @classmethod
+    def _make(cls, iterable) -> "SpaceSpec":
+        # _replace builds through _make, so both check m here.
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"K{self.m}"

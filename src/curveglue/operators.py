@@ -151,12 +151,10 @@ def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
 
 
 def delta_reduce(op: BranchOp, a: Poly) -> BranchOp:
-    """The order-lowering map: commutator of op with multiplication by a.
-
-    Multiplication by a has order 0, so the terms r >= 1 of a op are empty
-    and only those of op a remain."""
-    nums, den = _nums(op)
-    return BranchOp.of(*(_poly(c, den * a.den) for c in _leibniz(nums, [a.nums], 1)))
+    """The order-lowering map: commutator of op with multiplication by a,
+    the order-0 operator, so that of the two compositions only op a forms
+    terms."""
+    return commutator(op, BranchOp.of(a))
 
 
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:

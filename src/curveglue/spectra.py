@@ -2,20 +2,21 @@
 
 Points of the glued space are evaluation characters: evaluation at a branch
 point, with the two branch origins identified as the single singular point.
-Distinct points are certified by separating witnesses; the identities behind
-the vanishing of symbol characters at the singular point (square and cube
-factorizations through a degree-0 element vanishing there) are verified
+Distinct points are certified by separating witnesses.  Symbol characters
+extending evaluation at the singular point vanish in positive degree: on
+every K_m a symbol s of degree >= 1 has s^(m+2) = g*t with g the degree-0
+element (x, y), which vanishes there; the identity is verified
 constructively.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import OrderError, UnsupportedSpaceError
-from .glued import GluedFunction, SpaceSpec, make_glued, random_glued
+from .glued import GluedFunction, SpaceSpec
 from .operators import spanning_family
 from .poly import Poly, frac
 from .symbols import SymbolElem, check_symbol_conditions, make_symbol, symbol_mul
@@ -59,33 +60,6 @@ def char_eval(c: Character, u: GluedFunction) -> Fraction:
     return u.f(c.base_point) if c.branch == 1 else u.g(c.base_point)
 
 
-def probe_homomorphism(
-    fn: Callable[[GluedFunction], Fraction],
-    space: SpaceSpec,
-    samples: int,
-    seed: int = 0,
-) -> bool:
-    """Test additivity, multiplicativity and unitality of a functional on
-    random glued pairs.  Evaluation characters always pass; the harness is
-    also usable against hypothetical non-characters."""
-    rng = random.Random(seed)
-    one = make_glued(Poly.of(1), Poly.of(1), space)
-    if fn(one) != 1:
-        return False
-    for _ in range(samples):
-        u = random_glued(space, rng)
-        v = random_glued(space, rng)
-        if fn(u + v) != fn(u) + fn(v):
-            return False
-        if fn(u * v) != fn(u) * fn(v):
-            return False
-    return True
-
-
-def char_is_homomorphism(c: Character, space: SpaceSpec, samples: int, seed: int = 0) -> bool:
-    return probe_homomorphism(lambda u: char_eval(c, u), space, samples, seed)
-
-
 def separating_witness(
     c1: Character, c2: Character, space: SpaceSpec, max_degree: int
 ) -> Optional[GluedFunction]:
@@ -101,26 +75,34 @@ def separating_witness(
 
 
 def maximal_ideal_factor(s: SymbolElem) -> tuple[SymbolElem, SymbolElem]:
-    """On the coordinate cross, factor s*s = g*t with g the degree-0 element
-    (x, y), which vanishes at the singular point.
+    """On K_m, factor s^(m+2) = g*t with g the degree-0 element (x, y), which
+    vanishes at the singular point.
 
-    Requires degree >= 1, so both coefficients vanish at 0: writing
-    a = x*alpha, b = y*beta gives t = (x*alpha^2, y*beta^2) at degree 2k.
-    Consequently any symbol character extending evaluation at the singular
-    point kills s: H(s)^2 = H(g)H(t) = 0."""
-    if s.space.m != 0:
-        raise UnsupportedSpaceError("factorization is stated on the coordinate cross")
+    Requires a valid s of degree >= 1, so both coefficients vanish at 0:
+    writing s = (x*alpha, x*beta) and N = m + 2 gives
+    t = (x^(m+1)*alpha^N, x^(m+1)*beta^N) at degree N*deg s, valid because
+    its m-jets are zero.  Consequently any symbol character extending
+    evaluation at the singular point kills s: H(s)^N = H(g)H(t) = 0."""
     if s.degree < 1:
         raise OrderError("factorization needs degree >= 1")
     report = check_symbol_conditions(s)
     if not report.ok:
         raise OrderError("input is not a valid symbol at its degree")
-    x = Poly.monomial(1)
+    m, x = s.space.m, Poly.monomial(1)
     g = make_symbol(0, x, x, s.space)
-    alpha = s.a.divide_exact(x)
-    beta = s.b.divide_exact(x)
-    t = SymbolElem(2 * s.degree, x * alpha * alpha, x * beta * beta, s.space)
-    return g, t
+    # Each coefficient c gives x^(m+1) * (c / x)^(m+2).
+    a, b = (math.prod([c.divide_exact(x)] * (m + 2), start=x.shift(m)) for c in (s.a, s.b))
+    return g, SymbolElem((m + 2) * s.degree, a, b, s.space)
+
+
+def _factorization_holds(s: SymbolElem) -> bool:
+    """s^(m+2) == g*t, degree included, for the factors of
+    :func:`maximal_ideal_factor`, and g vanishes at the singular point."""
+    g, t = maximal_ideal_factor(s)
+    power = s
+    for _ in range(s.space.m + 1):
+        power = symbol_mul(power, s)
+    return power == symbol_mul(g, t) and g.a(0) == g.b(0) == 0
 
 
 class IdentityCheck(NamedTuple):
@@ -159,20 +141,10 @@ def _nullity_cross(space: SpaceSpec) -> tuple[IdentityCheck, ...]:
                 "(a, b) = (a'(0)x, b'(0)y) + (x, y)*(x*atilde, y*btilde)",
             )
         )
-        g, t = maximal_ideal_factor(s)
-        square = symbol_mul(s, s)
-        product = symbol_mul(g, t)
-        ok = (
-            square.a == product.a
-            and square.b == product.b
-            and square.degree == s.degree * 2
-            and g.a(0) == 0
-            and g.b(0) == 0
-        )
         checks.append(
             IdentityCheck(
                 f"square factorization, degree {s.degree}",
-                ok,
+                _factorization_holds(s),
                 "s*s = g*t with g = (x, y) of degree 0 vanishing at the singular point",
             )
         )
@@ -180,27 +152,19 @@ def _nullity_cross(space: SpaceSpec) -> tuple[IdentityCheck, ...]:
 
 
 def _nullity_contact_one(space: SpaceSpec) -> tuple[IdentityCheck, ...]:
-    checks = []
-    x = Poly.monomial(1)
-    x2, x3 = Poly.monomial(2), Poly.monomial(3)
+    x, x3 = Poly.monomial(1), Poly.monomial(3)
     lin = make_symbol(1, x, x, space)
     cube = symbol_mul(symbol_mul(lin, lin), lin)
-    checks.append(
+    return (
         IdentityCheck(
             "cube identity",
             cube.a == x3 and cube.b == x3 and cube.degree == 3,
             "(x, y) at degree 1 cubes to (x^3, y^3) at degree 3",
-        )
-    )
-    g = make_symbol(0, x, x, space)
-    t = make_symbol(3, x2, x2, space)
-    product = symbol_mul(g, t)
-    checks.append(
+        ),
         IdentityCheck(
             "cube factorization",
-            product.a == cube.a and product.b == cube.b and g.a(0) == 0 and g.b(0) == 0,
+            _factorization_holds(lin),
             "(x^3, y^3) at degree 3 = (x, y)_0 * (x^2, y^2)_3 with the degree-0 "
             "factor vanishing at the singular point",
-        )
+        ),
     )
-    return tuple(checks)

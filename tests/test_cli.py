@@ -252,6 +252,13 @@ class TestExitStatusContract:
         assert status == 2
         assert captured.err.startswith("error: zero denominator")
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_nullity_beyond_contact_one_is_input_error(self, capsys, flags):
+        status, captured = run(capsys, "nullity", "--space", "K2", *flags)
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: nullity identities are implemented for K0 and K1, not K2\n"
+
 
 class TestDegreeCapOption:
     def test_cap_is_scoped_to_one_call(self, capsys):

@@ -4,22 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveglue.errors import OrderError, UnsupportedSpaceError
-from curveglue.glued import SpaceSpec, make_glued
+from curveglue.glued import SpaceSpec, make_glued, random_glued
 from curveglue.poly import Poly
 from curveglue.sampling import random_symbol
 from curveglue.spectra import (
     SINGULAR,
     char_eval,
-    char_is_homomorphism,
     make_character,
     maximal_ideal_factor,
     nullity_identity_check,
-    probe_homomorphism,
     separating_witness,
 )
-from curveglue.symbols import SymbolElem, symbol_mul, zero_symbol
+from curveglue.symbols import SymbolElem, check_symbol_conditions, make_symbol, symbol_mul, zero_symbol
 
 X = Poly.monomial(1)
 K0, K1 = SpaceSpec(0), SpaceSpec(1)
@@ -41,17 +41,31 @@ class TestCharEval:
         assert make_character(1, 0) == make_character(2, 0) == make_character(SINGULAR, 0)
 
 
-class TestHomomorphismProbe:
+def is_homomorphism(fn, space, samples=100, seed=0):
+    """Unitality, additivity and multiplicativity of fn on random glued pairs."""
+    rng = random.Random(seed)
+    if fn(make_glued(Poly.of(1), Poly.of(1), space)) != 1:
+        return False
+    for _ in range(samples):
+        u, v = random_glued(space, rng), random_glued(space, rng)
+        if fn(u + v) != fn(u) + fn(v) or fn(u * v) != fn(u) * fn(v):
+            return False
+    return True
+
+
+class TestCharEvalHomomorphism:
     def test_evaluation_characters_pass(self):
-        for c in (make_character(1, 2), make_character(2, Fraction(-1, 2)), make_character(SINGULAR, 0)):
-            assert char_is_homomorphism(c, K1, samples=100)
+        for m in range(3):
+            for c in (make_character(1, 2), make_character(2, Fraction(-1, 2))):
+                assert is_homomorphism(lambda u: char_eval(c, u), SpaceSpec(m))
 
     def test_non_character_detected(self):
-        fake = lambda u: u.f(1) + u.g(1)
-        assert not probe_homomorphism(fake, K0, samples=100)
+        assert not is_homomorphism(lambda u: u.f(1) + u.g(1), K0)
 
     def test_singular_character(self):
-        assert char_is_homomorphism(make_character(SINGULAR, 0), K0, samples=100)
+        c = make_character(SINGULAR, 0)
+        for m in range(3):
+            assert is_homomorphism(lambda u: char_eval(c, u), SpaceSpec(m))
 
 
 class TestSeparatingWitness:
@@ -97,10 +111,13 @@ class TestMaximalIdealFactor:
         assert t.is_zero
 
     def test_preconditions(self):
-        with pytest.raises(UnsupportedSpaceError):
-            maximal_ideal_factor(zero_symbol(1, K1))
+        g, t = maximal_ideal_factor(make_symbol(1, X, X, K1))
+        assert (g.degree, g.a, g.b) == (0, X, X)
+        assert t == SymbolElem(3, Poly.monomial(2), Poly.monomial(2), K1)
         with pytest.raises(OrderError):
             maximal_ideal_factor(zero_symbol(0, K0))
+        with pytest.raises(OrderError):
+            maximal_ideal_factor(SymbolElem(1, X, -X, K1))
 
     def test_identity_random(self):
         rng = random.Random(71)
@@ -110,6 +127,24 @@ class TestMaximalIdealFactor:
             square, product = symbol_mul(s, s), symbol_mul(g, t)
             assert (square.a, square.b) == (product.a, product.b)
             assert char_eval(make_character(SINGULAR, 0), make_glued(g.a, g.b, K0)) == 0
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    def test_power_factors_on_every_contact_order(self, m, degree, seed):
+        space = SpaceSpec(m)
+        s = random_symbol(space, degree, random.Random(seed), max_degree=2)
+        g, t = maximal_ideal_factor(s)
+        power = s
+        for _ in range(m + 1):
+            power = symbol_mul(power, s)
+        assert power == symbol_mul(g, t)
+        assert check_symbol_conditions(t).ok
+        assert char_eval(make_character(SINGULAR, 0), make_glued(g.a, g.b, space)) == 0
 
 
 class TestNullityIdentities:

@@ -69,3 +69,19 @@ def test_record_is_an_immutable_value(cls, fields):
 def test_negative_contact_order_is_rejected():
     with pytest.raises(ValueError, match="^contact order must be nonnegative$"):
         SpaceSpec(-1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: SpaceSpec(2)._replace(m=-1), lambda: SpaceSpec._make([-1])],
+    ids=["replace", "make"],
+)
+def test_negative_contact_order_is_rejected_on_every_path(build):
+    with pytest.raises(ValueError, match="^contact order must be nonnegative$"):
+        build()
+
+
+@pytest.mark.parametrize("m", [True, 1.5], ids=["bool", "float"])
+def test_non_int_contact_order_is_rejected(m):
+    with pytest.raises(TypeError, match="contact order must be an int"):
+        SpaceSpec(m)
