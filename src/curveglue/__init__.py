@@ -39,7 +39,6 @@ from .operators import (
     commutator,
     compose,
     default_probe_degree,
-    delta_reduce,
     generate_conditions,
     make_pair,
     pair_apply,

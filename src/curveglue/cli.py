@@ -176,7 +176,7 @@ def _cmd_conditions(args) -> int:
 
 
 def _embed_poly(args) -> Poly | None:
-    return dsl.parse_poly(args.embed) if args.embed else None
+    return dsl.parse_poly(args.embed) if args.embed is not None else None
 
 
 def _cmd_extend(args) -> int:
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, space=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit structured JSON")
@@ -254,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="CAP",
             help="polynomial degree cap for this call",
         )
+        if space:
+            p.add_argument("--space", type=_space_arg, required=True)
         return p
 
     p = add("check", _cmd_check, help="check admissibility of a paired operator")
     p.add_argument("file", help="paired-operator file or '-' for stdin")
-    p.add_argument("--space", type=_space_arg, required=True)
     p.add_argument("--order", type=int, default=None)
     p.add_argument(
         "--probe-depth",
@@ -273,35 +274,29 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in ("compose", "commutator"):
         p = add(verb, _cmd_combine, help=f"{verb} of two admissible pairs")
         p.add_argument("files", nargs="+", help="one file with two pairs, or two files")
-        p.add_argument("--space", type=_space_arg, required=True)
 
     p = add("symbol", _cmd_symbol, help="symbol of an admissible pair")
     p.add_argument("file")
-    p.add_argument("--space", type=_space_arg, required=True)
     p.add_argument("--degree", type=int, default=None)
 
-    p = add("bracket", _cmd_bracket, help="Poisson bracket of two symbols")
+    p = add("bracket", _cmd_bracket, space=False, help="Poisson bracket of two symbols")
     p.add_argument("files", nargs="+", help="one file with two symbols, or two files")
 
     p = add("conditions", _cmd_conditions, help="print the admissibility conditions")
-    p.add_argument("--space", type=_space_arg, required=True)
     p.add_argument("--order", type=int, required=True)
 
-    p = add("extend", _cmd_extend, help="extend a glued pair to the plane")
+    p = add("extend", _cmd_extend, space=False, help="extend a glued pair to the plane")
     p.add_argument("file")
     p.add_argument("--embed", default=None, metavar="POLY", help="embedding profile h (default x^(m+1))")
 
     p = add("restrict", _cmd_restrict, help="restrict a plane polynomial to the branches")
     p.add_argument("file")
-    p.add_argument("--space", type=_space_arg, required=True)
     p.add_argument("--embed", default=None, metavar="POLY")
 
     p = add("witness", _cmd_witness, help="separating witness for two characters")
     p.add_argument("file", help="file with two 'char' lines")
-    p.add_argument("--space", type=_space_arg, required=True)
 
-    p = add("nullity", _cmd_nullity, help="verify the symbol-character nullity identities")
-    p.add_argument("--space", type=_space_arg, required=True)
+    add("nullity", _cmd_nullity, help="verify the symbol-character nullity identities")
 
     return parser
 

@@ -216,9 +216,12 @@ def parse_char(text: str, line: int = 1) -> Character:
     match = _CHAR.match(_strip(text))
     if not match:
         raise DSLSyntaxError("expected 'char branch=<1|2|sing> at=<rational>'", line)
-    branch = match.group(1)
-    at = _rational(match.group(2), line, match.start(2) + 1)
-    return make_character("sing" if branch == "sing" else int(branch), at)
+    branch, column = match.group(1), match.start(2) + 1
+    at = _rational(match.group(2), line, column)
+    try:
+        return make_character("sing" if branch == "sing" else int(branch), at)
+    except ValueError as exc:  # the singular character off base point 0
+        raise DSLSyntaxError(str(exc), line, column) from None
 
 
 class ParsedPair(NamedTuple):

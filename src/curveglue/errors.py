@@ -46,25 +46,26 @@ class OrderError(CurveGlueError):
     """An operator or symbol was used at an incompatible order/degree."""
 
 
-class AdmissibilityError(CurveGlueError):
+class _ReportError(CurveGlueError):
+    """A report's violated constraints after the subclass's ``prefix``.  The
+    subclasses stay siblings: the CLI exits 1 on an inadmissible pair but 2
+    on an invalid symbol, which is malformed input."""
+
+    def __init__(self, report):
+        super().__init__(self.prefix + "; ".join(v.constraint for v in report.violations))
+        self.report = report
+
+
+class AdmissibilityError(_ReportError):
     """An operator pair fails the glued-space admissibility conditions."""
 
-    def __init__(self, report):
-        super().__init__(
-            "operator pair is not admissible: "
-            + "; ".join(v.constraint for v in report.violations)
-        )
-        self.report = report
+    prefix = "operator pair is not admissible: "
 
 
-class SymbolConditionError(CurveGlueError):
+class SymbolConditionError(_ReportError):
     """A coefficient pair fails the symbol membership conditions at its degree."""
 
-    def __init__(self, report):
-        super().__init__(
-            "invalid symbol: " + "; ".join(v.constraint for v in report.violations)
-        )
-        self.report = report
+    prefix = "invalid symbol: "
 
 
 class ClosureBugError(CurveGlueError):

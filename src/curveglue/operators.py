@@ -150,13 +150,6 @@ def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     )
 
 
-def delta_reduce(op: BranchOp, a: Poly) -> BranchOp:
-    """The order-lowering map: commutator of op with multiplication by a,
-    the order-0 operator, so that of the two compositions only op a forms
-    terms."""
-    return commutator(op, BranchOp.of(a))
-
-
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     """Check order <= k via vanishing of all (k+1)-fold delta chains.
 
@@ -434,36 +427,23 @@ def pair_apply(op: PairedOp, u: GluedFunction) -> GluedFunction:
     return make_glued(op.d1.apply(u.f), op.d2.apply(u.g), op.space)
 
 
-def _closed_pair(d1: BranchOp, d2: BranchOp, space: SpaceSpec, order: int, what: str) -> PairedOp:
-    report = check_admissible(d1, d2, space, order)
+def _combine(combine, op_a: PairedOp, op_b: PairedOp, order: int, what: str) -> PairedOp:
+    """``combine`` on each branch, checked again: closure makes it admissible at ``order``."""
+    same_space(op_a, op_b)
+    d1, d2 = combine(op_a.d1, op_b.d1), combine(op_a.d2, op_b.d2)
+    report = check_admissible(d1, d2, op_a.space, order)
     if not report.ok:
         raise ClosureBugError(
-            f"{what} of admissible pairs failed the admissibility check at "
-            f"order {order}; this contradicts the closure theorem and "
-            f"indicates an internal bug: "
+            f"{what} of admissible pairs failed the admissibility check at order {order}; "
+            "this contradicts the closure theorem and indicates an internal bug: "
             + "; ".join(v.constraint for v in report.violations)
         )
-    return PairedOp(d1, d2, space, order)
+    return PairedOp(d1, d2, op_a.space, order)
 
 
 def pair_compose(op_a: PairedOp, op_b: PairedOp) -> PairedOp:
-    same_space(op_a, op_b)
-    return _closed_pair(
-        compose(op_a.d1, op_b.d1),
-        compose(op_a.d2, op_b.d2),
-        op_a.space,
-        op_a.order + op_b.order,
-        "composition",
-    )
+    return _combine(compose, op_a, op_b, op_a.order + op_b.order, "composition")
 
 
 def pair_commutator(op_a: PairedOp, op_b: PairedOp) -> PairedOp:
-    same_space(op_a, op_b)
-    order = max(op_a.order + op_b.order - 1, 0)
-    return _closed_pair(
-        commutator(op_a.d1, op_b.d1),
-        commutator(op_a.d2, op_b.d2),
-        op_a.space,
-        order,
-        "commutator",
-    )
+    return _combine(commutator, op_a, op_b, max(op_a.order + op_b.order - 1, 0), "commutator")

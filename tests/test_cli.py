@@ -259,6 +259,26 @@ class TestExitStatusContract:
         assert captured.out == ""
         assert captured.err == "error: nullity identities are implemented for K0 and K1, not K2\n"
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_singular_char_off_zero_is_input_error(self, capsys, monkeypatch, flags):
+        text = "char branch=sing at=1\nchar branch=1 at=1\n"
+        argv = ("witness", "-", "--space", "K0", *flags)
+        status, captured = run_stdin(capsys, monkeypatch, text, *argv)
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the singular character sits at base point 0 at line 1, column 21\n"
+        )
+
+    def test_invalid_symbol_in_bracket_is_input_error(self, capsys, monkeypatch):
+        # An invalid symbol is malformed input (exit 2), unlike an
+        # inadmissible pair (exit 1): the two report errors stay siblings.
+        text = "symbol deg=3 m=1: x | y\nsymbol deg=1 m=1: x^2 | y^2\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "bracket", "-")
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: invalid symbol: b'(0) = 0; a'(0) = 0\n"
+
 
 class TestDegreeCapOption:
     def test_cap_is_scoped_to_one_call(self, capsys):
@@ -424,6 +444,49 @@ class TestInputLines:
         status, captured = run_stdin(capsys, monkeypatch, "pair m=1: x | x\npair m=1: x | x\n", "extend", "-")
         assert status == 2
         assert "expected one pair line, found 2" in captured.err
+
+
+class TestEmbedOption:
+    """--embed sets the profile h of extend and restrict (default x^(m+1))."""
+
+    def test_extend(self, capsys, monkeypatch):
+        text = "pair m=1: x | x + x^2\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "extend", "-", "--embed", "2 x^2")
+        assert (status, captured.out) == (0, "x + 1/2*y\n")
+
+    def test_restrict(self, capsys, monkeypatch):
+        argv = ("restrict", "-", "--space", "K1", "--embed", "2x^2")
+        status, captured = run_stdin(capsys, monkeypatch, "x + y\n", *argv)
+        assert (status, captured.out) == (0, "pair m=1: x | 2*y^2 + y\n")
+
+    @pytest.mark.parametrize(
+        "text,argv,message",
+        [
+            (
+                "x + y\n",
+                ("restrict", "-", "--space", "K1", "--embed", "x^3"),
+                "embedding profile must have a zero of exact order 2 at 0, got order 3",
+            ),
+            (
+                "pair m=1: x | x + x^3\n",
+                ("extend", "-", "--embed", "x^2 + x^3"),
+                "division is not exact, remainder -x^2",
+            ),
+            ("pair m=1: x | x\n", ("extend", "-", "--embed", ""), "empty expression at line 1"),
+            ("pair m=1: x | x\n", ("extend", "-", "--embed", " "), "empty expression at line 1"),
+            (
+                "x + y\n",
+                ("restrict", "-", "--space", "K1", "--embed", ""),
+                "empty expression at line 1",
+            ),
+        ],
+        ids=["wrong-order", "inexact", "empty", "blank", "empty-restrict"],
+    )
+    def test_bad_profile_is_input_error(self, capsys, monkeypatch, text, argv, message):
+        status, captured = run_stdin(capsys, monkeypatch, text, *argv)
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestErrorLineNumbers:

@@ -283,6 +283,12 @@ class TestBlocks:
         c = dsl.parse_char("char branch=2 at=-3/2")
         assert c == make_character(2, Fraction(-3, 2))
 
+    def test_singular_char_off_zero(self):
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_char("char branch=sing at=-1/2", 3)
+        assert str(err.value) == "the singular character sits at base point 0 at line 3, column 21"
+        assert (err.value.line, err.value.column) == (3, 21)
+
     def test_op_block(self):
         block = "op order=2\ncoeff 2: x\ncoeff 1: -1\ncoeff 0: 0"
         parsed = dsl.parse_paired(f"branch x\n{block}\nbranch y\n{block}")

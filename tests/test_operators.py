@@ -9,16 +9,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curveglue.errors import AdmissibilityError, DegreeCapExceeded, OrderError, SpaceMismatch
+from curveglue.errors import (
+    AdmissibilityError,
+    ClosureBugError,
+    DegreeCapExceeded,
+    OrderError,
+    SpaceMismatch,
+)
 from curveglue.glued import SpaceSpec, random_glued, make_glued
 from curveglue.operators import (
+    AdmissibilityReport,
     BranchOp,
     JetVar,
+    Violation,
     check_admissible,
     commutator,
     compose,
     default_probe_degree,
-    delta_reduce,
     generate_conditions,
     make_pair,
     pair_apply,
@@ -208,14 +215,16 @@ class TestCommutator:
 
 
 class TestDeltaChains:
+    # delta_a is the commutator with multiplication by a, an order-0 operator.
     def test_delta_x_of_derivative(self):
-        assert delta_reduce(D, X) == BranchOp.of(Poly.of(1))
+        assert commutator(D, BranchOp.of(X)) == BranchOp.of(Poly.of(1))
 
     def test_multiplications_commute(self):
-        assert delta_reduce(BranchOp.of(Poly.of(2, 0, 5)), X).is_zero
+        assert commutator(BranchOp.of(Poly.of(2, 0, 5)), BranchOp.of(X)).is_zero
 
     def test_delta_x_of_second_derivative(self):
-        assert delta_reduce(BranchOp.derivative(power=2), X) == BranchOp.derivative(Poly.of(2))
+        expected = BranchOp.derivative(Poly.of(2))
+        assert commutator(BranchOp.derivative(power=2), BranchOp.of(X)) == expected
 
     def test_verify_order_examples(self):
         op = BranchOp.of(Poly.of(), Poly.of(1), X)  # x d^2 + d
@@ -281,11 +290,11 @@ class TestDeltaChainKernel:
     @settings(max_examples=200)
     @given(delta_ops, st.integers(1, 9))
     @example(BranchOp.of(ZERO, Poly.of(-1), X), 2)  # [x d^2 - d, x^2] = 4x^2 d
-    def test_step_matches_delta_reduce(self, op, n):
+    def test_step_matches_commutator_by_monomial(self, op, n):
         # One verify_order step, delta by x^n on the integer numerators.
         nums, den = _nums(op)
         with degree_cap(128):
-            expected = delta_reduce(op, Poly.monomial(n))
+            expected = commutator(op, BranchOp.of(Poly.monomial(n)))
             step = _leibniz(nums, [[0] * n + [1]], 1)
         assert [[Fraction(c, den) for c in a] for a in step] == [
             list(a.coeffs) for a in expected.coeffs
@@ -316,7 +325,7 @@ class TestDeltaChainKernel:
             for function, reference, args in (
                 (compose, _compose_reference, (a, b)),
                 (commutator, _commutator_reference, (a, b)),
-                (delta_reduce, _delta_reduce_reference, (a, p)),
+                (lambda op, p: commutator(op, BranchOp.of(p)), _delta_reduce_reference, (a, p)),
                 (verify_order, _delta_chain_reference, (a, k, probe_degree)),
             ):
                 assert _outcome(function, *args) == _outcome(reference, *args), function
@@ -654,3 +663,32 @@ class TestPairs:
                 b = random_admissible_pair(space, rng.randint(0, 3), rng, max_degree=3)
                 pair_compose(a, b)  # raises ClosureBugError on failure
                 pair_commutator(a, b)
+
+    @pytest.mark.parametrize(
+        "combine,what,orders,order",
+        [
+            (pair_compose, "composition", (1, 2), 3),
+            (pair_commutator, "commutator", (1, 2), 2),
+            (pair_commutator, "commutator", (0, 0), 0),
+        ],
+        ids=["compose", "commutator", "commutator-order-0"],
+    )
+    def test_failed_recheck_is_a_closure_bug(self, monkeypatch, combine, what, orders, order):
+        # compose is checked again at k + l, commutator at max(k + l - 1, 0).
+        pairs = {
+            0: make_pair(BranchOp.of(X), BranchOp.of(X), K1),
+            1: make_pair(XD, XD, K1),
+            2: make_pair(BranchOp.derivative(X2, power=2), BranchOp.derivative(X2, power=2), K1),
+        }
+        a, b = (pairs[k] for k in orders)
+        violation = Violation("a1(0) = 0", Fraction(1))
+        monkeypatch.setattr(
+            "curveglue.operators.check_admissible",
+            lambda d1, d2, space, k: AdmissibilityReport(space, k, (violation,)),
+        )
+        with pytest.raises(ClosureBugError) as exc:
+            combine(a, b)
+        assert str(exc.value) == (
+            f"{what} of admissible pairs failed the admissibility check at order {order}; "
+            "this contradicts the closure theorem and indicates an internal bug: a1(0) = 0"
+        )
