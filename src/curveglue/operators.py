@@ -151,29 +151,25 @@ def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
 
 
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
-    """Check order <= k via vanishing of all (k+1)-fold delta chains.
+    """Check order <= k via vanishing of the (k+1)-fold delta chains by the
+    monomials x^1..x^probe_degree.
 
-    Chains run over multisets of monomial exponents 1..probe_degree
-    (delta by a constant is identically zero, so exponent 0 adds nothing).
-    The multisets are walked depth-first in non-decreasing order, so chains
-    with a common prefix reduce that prefix once.  The coefficients are put
-    over one common denominator once; each step is then :func:`_leibniz` by
-    x^n on their integer numerators, which keeps that denominator."""
-    if k < 0:
-        return op.is_zero
-
-    def vanishes(reduced: list[list[int]], steps: int, lowest: int) -> bool:
-        # Every chain of ``steps`` more deltas with exponents >= lowest.
-        if not reduced:
-            return True
-        if not steps:
-            return False
-        return all(
-            vanishes(_leibniz(reduced, [[0] * n + [1]], 1), steps - 1, n)
-            for n in range(lowest, probe_degree + 1)
-        )
-
-    return vanishes(_nums(op)[0], k + 1, 1)
+    If a set S generates a commutative algebra, an operator has order <= k
+    exactly when every (k+1)-fold commutator with multiplications by members
+    of S vanishes (EGA IV 16.8; McConnell and Robson, ch. 15).  Once
+    probe_degree >= 1 that set holds x, which generates Q[x], so the one
+    chain ad(x)^(k+1) decides: k + 1 :func:`_leibniz` steps by x on the
+    integer numerators.  With probe_degree < 1 there is no chain, so any
+    k >= 0 passes; with k < 0 no step runs and only the zero operator passes.
+    A step by x, [a d^i, x] = i a d^(i-1), keeps coefficient degrees, so
+    :class:`DegreeCapExceeded` is raised only when some a_i with i >= 1 is
+    already above the cap."""
+    if k >= 0 and probe_degree < 1:
+        return True
+    reduced = _nums(op)[0]
+    for _ in range(k + 1):
+        reduced = _leibniz(reduced, [[0, 1]], 1)
+    return not reduced
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +367,9 @@ class AdmissibilityReport(NamedTuple):
 
 def check_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int) -> AdmissibilityReport:
     """Evaluate the generated conditions on the actual coefficient jets."""
+    conditions = generate_conditions(space, k)
     if d1.order > k or d2.order > k:
         raise OrderError(f"branch orders exceed the declared order {k}")
-    conditions = generate_conditions(space, k)
     ops = {"a": d1, "b": d2}
     values = {v: ops[v.branch].coeff(v.s).deriv_at_zero(v.r) for v in conditions.variables}
     return AdmissibilityReport(space, k, conditions.violations(values))

@@ -241,6 +241,22 @@ class TestExitStatusContract:
         )
         assert status == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", DATA / "pair_euler_K1.txt", "--space", "K1", "--order", "-1"],
+            ["symbol", DATA / "pair_euler_K1.txt", "--space", "K1", "--degree", "-1"],
+            ["conditions", "--space", "K1", "--order", "-1"],
+        ],
+        ids=["check", "symbol", "conditions"],
+    )
+    def test_negative_order_is_input_error(self, capsys, argv):
+        # One message for a negative order, whichever verb declares it.
+        status, captured = run(capsys, *argv)
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err == "error: operator order must be nonnegative\n"
+
     def test_zero_denominator_in_poly_is_input_error(self, capsys, monkeypatch):
         status, captured = run_stdin(capsys, monkeypatch, "pair m=1: 1/0 | 1\n", "extend", "-")
         assert status == 2

@@ -107,8 +107,9 @@ def _delta_reduce_reference(op, a):
 
 
 def _delta_chain_reference(op, k, probe_degree):
-    """verify_order as a prefix-shared walk on BranchOps, each step one
-    delta by x^n on Polys."""
+    """The order check over every exponent multiset in 1..probe_degree, as a
+    prefix-shared walk on BranchOps, each step one delta by x^n on Polys:
+    the oracle for verify_order's single chain by the generator x."""
     if k < 0:
         return op.is_zero
 
@@ -126,8 +127,8 @@ def _delta_chain_reference(op, k, probe_degree):
 
 
 def _chain_by_chain(op, k, probe_degree):
-    """verify_order reducing every exponent multiset from the start, with
-    each delta step as two full compositions."""
+    """The walk reducing every exponent multiset from the start, with each
+    delta step as two full compositions."""
     if k < 0:
         return op.is_zero
     for exps in itertools.combinations_with_replacement(range(1, probe_degree + 1), k + 1):
@@ -262,10 +263,9 @@ class TestDeltaChains:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_degree_four_coefficients_within_default_cap(self, k):
-        # Each delta by x^8 adds at most 7 to the coefficient degree and
-        # takes at least 1 from the order, so every reduced operator stays
-        # within degree 4 + 7 * 4 = 32.  The r = 0 products of two full
-        # compositions add 8 more: degree 33 at the fourth step.
+        # Each delta by x keeps the coefficient degrees, so every reduced
+        # operator stays at degree 4, whatever the probe degree.  Deltas by
+        # x^8 would add up to 7 per step: degree 4 + 7 * 4 = 32 at k = 4.
         op = BranchOp.of(*(Poly.of(s + 1, -1, Fraction(1, 2), 2, 1) for s in range(k + 1)))
         assert get_degree_cap() == 32
         assert verify_order(op, k, probe_degree=8)
@@ -291,7 +291,7 @@ class TestDeltaChainKernel:
     @given(delta_ops, st.integers(1, 9))
     @example(BranchOp.of(ZERO, Poly.of(-1), X), 2)  # [x d^2 - d, x^2] = 4x^2 d
     def test_step_matches_commutator_by_monomial(self, op, n):
-        # One verify_order step, delta by x^n on the integer numerators.
+        # One delta step by x^n through the kernel, on the integer numerators.
         nums, den = _nums(op)
         with degree_cap(128):
             expected = commutator(op, BranchOp.of(Poly.monomial(n)))
@@ -309,33 +309,42 @@ class TestDeltaChainKernel:
             assert (exc.value.degree, exc.value.cap) == (6, 4)
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        delta_ops,
-        delta_ops,
-        delta_polys,
-        st.integers(-1, 4),
-        st.integers(0, 9),
-        st.integers(4, 40),
-    )
-    @example(BranchOp.of(ZERO, Poly.of(-1), X), D, X2, 1, 2, 40)  # [x d^2 - d, x^2] = 4x^2 d
-    def test_matches_poly_reference(self, a, b, p, k, probe_degree, cap):
-        # Results and degree cap errors, product for product, of every
-        # caller of the integer kernel against the Poly walk.
+    @given(delta_ops, delta_ops, delta_polys, st.integers(4, 40))
+    @example(BranchOp.of(ZERO, Poly.of(-1), X), D, X2, 40)  # [x d^2 - d, x^2] = 4x^2 d
+    def test_matches_poly_reference(self, a, b, p, cap):
+        # Results and degree cap errors, product for product, of compose,
+        # commutator and one delta step against the Poly walk.
         with degree_cap(cap):
             for function, reference, args in (
                 (compose, _compose_reference, (a, b)),
                 (commutator, _commutator_reference, (a, b)),
                 (lambda op, p: commutator(op, BranchOp.of(p)), _delta_reduce_reference, (a, p)),
-                (verify_order, _delta_chain_reference, (a, k, probe_degree)),
             ):
                 assert _outcome(function, *args) == _outcome(reference, *args), function
 
     @settings(max_examples=150, deadline=None)
-    @given(delta_ops, st.integers(-1, 4), st.integers(1, 8))
-    def test_order_theorem(self, op, k, probe_degree):
+    @given(delta_ops, st.integers(-1, 4), st.integers(0, 9), st.integers(4, 40))
+    @example(BranchOp.of(ZERO, Poly.monomial(4)), 1, 2, 4)  # the walk's [x^4 d, x^2] has degree 5
+    def test_matches_walk_over_exponents(self, op, k, probe_degree, cap):
+        # The one x-chain gives the walk's verdict.  Where the walk's deeper
+        # steps by x^n pass the cap, the chain still decides, or raises on
+        # its first step by x, which the walk also takes first.
+        with degree_cap(cap):
+            expected = _outcome(_delta_chain_reference, op, k, probe_degree)
+            outcome = _outcome(verify_order, op, k, probe_degree)
+        if isinstance(expected, bool):
+            assert outcome == expected
+        else:
+            assert outcome in (op.order <= k, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(delta_ops, st.integers(-1, 4), st.integers(1, 9), st.data())
+    def test_order_theorem(self, op, k, probe_degree, data):
         # Deltas by x alone lower the top coefficient p a_p d^p to a nonzero
-        # multiple of a_p d^(p-1), so any probe degree >= 1 detects the order.
-        with degree_cap(128):
+        # multiple of a_p d^(p-1), and keep every coefficient degree, so any
+        # probe degree >= 1 detects the order under a cap that op meets.
+        top = max((a.degree for a in op.coeffs), default=0)
+        with degree_cap(data.draw(st.integers(max(top, 1), 40), label="cap")):
             assert verify_order(op, k, probe_degree) == (op.order <= k)
 
 
