@@ -8,8 +8,10 @@ D1 f and D2 g agree at 0.  That requirement is linear in the coefficient
 jets a_s^(r)(0), b_s^(r)(0) with s <= k, r <= m, so it is captured by a
 finite linear system:
 
-* :func:`generate_conditions` row-reduces the defining equation on branch a
-  over the rationals and mirrors it to branch b - the ground truth;
+* :func:`generate_conditions` reduces the defining equation on branch a
+  weight block by weight block - two block kinds in closed form, the third
+  by fraction-free elimination - and mirrors it to branch b: the ground
+  truth;
 * :func:`probe_admissible` is the independent brute-force oracle: it applies
   the operators to a spanning family of glued pairs and compares output jets.
 """
@@ -208,32 +210,53 @@ def _variables(m: int, k: int) -> tuple[JetVar, ...]:
 
 def rref(rows) -> list[dict[int, Fraction]]:
     """Reduced row-echelon form over the rationals of sparse rows, each a
-    ``{column: value}`` dict; zero rows dropped, the sparse pivot rows
-    returned in order of pivot column.
+    ``{column: value}`` dict of ints or Fractions; zero rows dropped, the
+    sparse pivot rows returned in order of pivot column, their values
+    Fractions.
 
     Each returned row holds only nonzero entries, its columns in increasing
     order: the pivot, equal to 1, comes first.  Readers rely on this order
     and do not sort again.
 
-    Each row is reduced against the pivot rows found so far, normalised at
-    its leading column and back-substituted into the earlier pivot rows.
-    Pivot rows stay zero left of their pivot and at every other pivot column,
-    so the result is the unique reduced form of the row space."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    row is scaled to integers by the lcm of its denominators, and a pivot row
+    is kept as an integer row P over the denominator e it was last updated
+    at, so that P / e is the reduced row.  With d the latest pivot, the
+    determinant of the pivot block so far, a new row v is reduced to
+    u = d v - sum_c v[c] (d / e_c) P_c over the pivot rows it meets, with no
+    division left over; its leading entry is the next pivot d', and a pivot
+    row P that meets the new pivot column becomes (d' P - P[lead] u) / e,
+    a division that is exact by Sylvester's identity.  A pivot row the new
+    column misses is left as it is.  Pivot rows stay zero at every other
+    pivot column, so the result is the unique reduced form of the row space;
+    one ``Fraction(x, e)`` is built per output entry."""
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    d = 1
     for row in rows:
         row = {c: v for c, v in row.items() if v}
+        if not row:
+            continue
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: d * v.numerator * (den // v.denominator) for c, v in row.items()}
         for col in [c for c in row if c in pivots]:
-            _subtract(row, row[col], pivots[col])
+            pivot, e = pivots[col]
+            if e != d:
+                pivot = {c: v * d // e for c, v in pivot.items()}
+                pivots[col] = pivot, d
+            _subtract(row, row[col] // d, pivot)
         if not row:
             continue
         lead = min(row)
-        inv = Fraction(1, row[lead])
-        row = {c: v * inv for c, v in row.items()}
-        for other in pivots.values():
-            if lead in other:
-                _subtract(other, other[lead], row)
-        pivots[lead] = row
-    return [dict(sorted(pivots[lead].items())) for lead in sorted(pivots)]
+        new = row[lead]
+        for col, (other, e) in pivots.items():
+            x = other.get(lead)
+            if x:
+                other = {c: new * v for c, v in other.items()}
+                _subtract(other, x, row)
+                pivots[col] = {c: v // e for c, v in other.items()}, new
+        pivots[lead] = row, new
+        d = new
+    return [{c: Fraction(v, e) for c, v in sorted(row.items())} for _, (row, e) in sorted(pivots.items())]
 
 
 def _subtract(row: dict, factor, pivot: dict) -> None:
@@ -262,11 +285,13 @@ class ConditionSet(NamedTuple):
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space.
 
-    ``sparse_rows`` are its pivot rows in reduced row-echelon form, as
-    :func:`rref` returns them: ``{column: value}`` dicts over ``variables``
-    with their columns in increasing order, in order of pivot column.  They
-    are the only stored form and are shared through the condition caches, so
-    callers must not mutate them."""
+    ``sparse_rows`` are its pivot rows in reduced row-echelon form, in the
+    form :func:`rref` returns: ``{column: Fraction}`` dicts over
+    ``variables`` with their columns in increasing order, in order of pivot
+    column.  :func:`_generate` builds them weight block by weight block, so a
+    row's unknowns all share one weight s - r.  They are the only stored form
+    and are shared through the condition caches, so callers must not mutate
+    them."""
 
     space: SpaceSpec
     order: int
@@ -315,24 +340,50 @@ def spanning_family(space: SpaceSpec, max_diag: int, max_branch: int):
 
 @lru_cache(maxsize=None)
 def _generate(m: int, k: int) -> ConditionSet:
-    """The reduced system, from one elimination on branch a.
+    """The reduced system, built weight block by weight block on branch a.
 
     The diagonal pairs f = g = x^n force b_s^(r)(0) = a_s^(r)(0) (at each
     weight s - r their rows are a unit triangular Pascal system on a - b), so
     only the rows (D1 x^n)^(i)(0) = 0, m < n <= k+m, i <= m, are reduced:
     (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0), so each
-    meets only a_(n-i+r)^(r), with value C(i,r) n! (n! dropped here).  The
-    result is mirrored to b, whose column is just before a's: a pivot
+    meets only a_(n-i+r)^(r), with value C(i,r) n! (n! dropped here).
+
+    Those rows split by the weight w = n - i = s - r into blocks with
+    disjoint unknowns u_r = a_(w+r)^(r), r <= top = min(m, k - w) (so
+    1 <= w <= k), and rows sum_r C(i,r) u_r for i0 = max(0, m + 1 - w) <= i
+    <= m.  The higher r, the lower the column of u_r, so each block reduces
+    alone, in one of three ways:
+
+    * full rank, m - i0 >= top: any top + 1 rows of the Pascal matrix are
+      independent, so every u_r = 0, a unit row;
+    * square, top = m (and i0 > 0): rows i0..m of the unit lower triangular
+      Pascal matrix, whose reduced form is, in integers,
+      u_i = sum_(j<i0) (-1)^(i+i0-1) C(i,j) C(i-j-1, i0-1-j) u_j;
+    * truncated-short, the rest (top < m, fewer rows than unknowns): one
+      :func:`rref` of the block alone.
+
+    The result is mirrored to b, whose column is just before a's: a pivot
     a_s^(r) gives the b_s^(r) row (its a row, pivot moved to b), then the a
     row; a free a_s^(r) gives b_s^(r)(0) - a_s^(r)(0) = 0."""
+    one, minus_one = Fraction(1), Fraction(-1)
+    pivots = {}
+    for w in range(1, k + 1):
+        i0, top = max(0, m + 1 - w), min(m, k - w)
+        col = [2 * ((k - w - r) * (m + 1) + m - r) + 1 for r in range(top + 1)]  # u_r's column
+        if m - i0 >= top:
+            pivots.update((c, {c: one}) for c in col)
+        elif top == m:
+            for i in range(i0, m + 1):
+                sign = (-1) ** (i + i0)
+                pivots[col[i]] = {col[i]: one} | {
+                    col[j]: Fraction(sign * math.comb(i, j) * math.comb(i - j - 1, i0 - 1 - j))
+                    for j in range(i0 - 1, -1, -1)
+                }
+        else:
+            rows = ({col[r]: math.comb(i, r) for r in range(min(i, top) + 1)}
+                    for i in range(i0, m + 1))
+            pivots.update((min(row), row) for row in rref(rows))
     variables = _variables(m, k)
-    column = {v: c for c, v in enumerate(variables)}
-    rows = (
-        {column[JetVar("a", n - i + r, r)]: math.comb(i, r) for r in range(min(i, k + i - n) + 1)}
-        for n in range(m + 1, k + m + 1)
-        for i in range(m + 1)
-    )
-    pivots = {min(row): row for row in rref(rows)}
     out = []
     for c in range(1, len(variables), 2):
         if c in pivots:
@@ -340,7 +391,7 @@ def _generate(m: int, k: int) -> ConditionSet:
             out.append({c - 1: row[c], **{j: v for j, v in row.items() if j != c}})
             out.append(row)
         else:
-            out.append({c - 1: Fraction(1), c: Fraction(-1)})
+            out.append({c - 1: one, c: minus_one})
     return ConditionSet(SpaceSpec(m), k, variables, tuple(out))
 
 

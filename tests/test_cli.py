@@ -4,6 +4,7 @@ Every invocation runs `main` in-process; stdout is compared verbatim
 against a file in tests/golden/.
 """
 
+import hashlib
 import io
 import json
 import os
@@ -102,6 +103,16 @@ class TestConditionGoldensAreComplete:
     def test_matches_generator(self, golden, m, k):
         lines = (GOLDEN / golden).read_text().splitlines()
         assert lines == list(generate_conditions(SpaceSpec(m), k).rendered)
+
+
+def test_conditions_K64_output_is_pinned(capsys):
+    # Line count and digest of the output of the whole-system elimination
+    # that the weight blocks replaced; too large for a golden file.
+    status, captured = run(capsys, "conditions", "--space", "K64", "--order", "64", "--max-degree", "64")
+    assert status == 0
+    assert captured.out.count("\n") == 5281
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "5bded49f4065ce3aece4ec34c9fb1730b772a4297bda20fba7ecca000d1e673b"
 
 
 # The parser that reads back each verb's ``result.dsl``.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from curveglue import operators as operators_module
 from curveglue.errors import (
     AdmissibilityError,
     ClosureBugError,
@@ -449,16 +450,111 @@ class TestSparseElimination:
                 dense = [_defining_row(variables, f, g, i) for f, g in family for i in range(m + 1)]
                 assert _generate(m, k).rows == tuple(_gauss_jordan(dense, len(variables))), (m, k)
 
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(st.data())
     def test_rref_matches_dense_gauss_jordan(self, data):
+        # Fractions make rref scale rows to integers by their denominators.
+        fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+        value = st.integers(-4, 4) | st.just(0) | fractions
         ncols = data.draw(st.integers(min_value=1, max_value=6))
-        entries = st.lists(st.integers(-4, 4) | st.just(0), min_size=ncols, max_size=ncols)
+        entries = st.lists(value, min_size=ncols, max_size=ncols)
         rows = data.draw(st.lists(entries, max_size=8))
         rows += [[0] * ncols] + rows[:1]  # a zero row and a duplicate row
         sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
-        dense = [tuple(row.get(c, 0) for c in range(ncols)) for row in rref(sparse)]
+        reduced = rref(sparse)
+        assert all(type(v) is Fraction for row in reduced for v in row.values())
+        dense = [tuple(row.get(c, 0) for c in range(ncols)) for row in reduced]
         assert dense == _gauss_jordan(rows, ncols)
+
+
+def _block_kind(m, k, w):
+    """The kind of weight block w of the order-k system on K_m: rows
+    i0..i1 of the Pascal matrix over the unknowns a_(w+r)^(r), r <= top."""
+    if not 1 <= w <= k:
+        return None  # no rows (w < 1) or no unknowns (w > k)
+    i0, i1, top = max(0, m + 1 - w), min(m, k + m - w), min(m, k - w)
+    if i1 - i0 >= top:
+        return "full rank"
+    return "square" if top == m else "truncated-short"
+
+
+def _block_pascal_rows(m, k, w, index):
+    """The sparse rows of weight block w: sum_r C(i,r) a_(w+r)^(r) over
+    i0 <= i <= i1, columns read from ``index``."""
+    i0, i1, top = max(0, m + 1 - w), min(m, k + m - w), min(m, k - w)
+    return [
+        {index[JetVar("a", w + r, r)]: math.comb(i, r) for r in range(min(i, top) + 1)}
+        for i in range(i0, i1 + 1)
+    ]
+
+
+class TestWeightBlocks:
+    """_generate reduces each weight block w = s - r alone: unit rows, the
+    square closed form or one rref of the block, against a dense oracle."""
+
+    def test_blocks_match_dense_gauss_jordan(self):
+        kinds = {}
+        oracle = {}  # a block's reduced form depends only on its Pascal rows
+        for m in range(25):
+            for k in range(33):
+                conditions = _generate(m, k)
+                index = {v: c for c, v in enumerate(conditions.variables)}
+                a_rows = {min(row): row for row in conditions.sparse_rows if min(row) % 2}
+                for w in range(1, k + 1):
+                    kind = _block_kind(m, k, w)
+                    kinds[kind] = kinds.get(kind, 0) + 1
+                    rows = _block_pascal_rows(m, k, w, index)
+                    columns = sorted(set().union(*rows))
+                    dense = tuple(tuple(row.get(c, 0) for c in columns) for row in rows)
+                    if dense not in oracle:
+                        oracle[dense] = _gauss_jordan(dense, len(columns))
+                    want = [{c: v for c, v in zip(columns, row) if v} for row in oracle[dense]]
+                    if kind == "full rank":
+                        assert len(want) == len(columns), (m, k, w)
+                    else:
+                        assert len(want) == len(rows) < len(columns), (m, k, w)
+                    got = [a_rows[c] for c in columns if c in a_rows]
+                    assert _items(got) == _items(want), (m, k, w, kind)
+        assert set(kinds) == {"full rank", "square", "truncated-short"}, kinds
+
+    def test_column_formula(self):
+        for m in range(9):
+            for k in range(13):
+                variables = _variables(m, k)
+                for s in range(k + 1):
+                    for r in range(m + 1):
+                        column = 2 * ((k - s) * (m + 1) + (m - r)) + 1
+                        assert column == variables.index(JetVar("a", s, r)), (m, k, s, r)
+
+    def test_symbol_stratum_reads_the_full_rank_kind(self):
+        # The symbol stratum cuts out a_k^(r)(0) alone exactly when 2r < k;
+        # that is the full-rank kind of the block w = k - r it lies in.
+        for m in range(25):
+            for k in range(33):
+                rows = symbol_conditions(m, k).sparse_rows
+                for r in range(m + 1):
+                    alone = {2 * (m - r) + 1: 1} in rows
+                    assert alone == (2 * r < k) == (_block_kind(m, k, k - r) == "full rank"), (m, k, r)
+
+    def test_rref_runs_only_on_truncated_short_blocks(self, monkeypatch):
+        calls = []
+
+        def recording(rows):
+            rows = list(rows)
+            calls.append(rows)
+            return rref(rows)
+
+        monkeypatch.setattr(operators_module, "rref", recording)
+        for m in range(9):
+            for k in range(13):
+                calls.clear()
+                index = {v: c for c, v in enumerate(_variables(m, k))}
+                _generate.__wrapped__(m, k)
+                assert calls == [
+                    _block_pascal_rows(m, k, w, index)
+                    for w in range(1, k + 1)
+                    if _block_kind(m, k, w) == "truncated-short"
+                ], (m, k)
 
 
 def _two_branch_rows(m, k):
@@ -496,6 +592,41 @@ def _projected_stratum(m, k):
 
 def _items(rows):
     return [list(row.items()) for row in rows]
+
+
+def _generate_reference(m, k):
+    """The reduced system from one rref of every branch-a row at once,
+    mirrored to b: the whole-system elimination _generate replaced."""
+    variables = _variables(m, k)
+    column = {v: c for c, v in enumerate(variables)}
+    rows = (
+        {column[JetVar("a", n - i + r, r)]: math.comb(i, r) for r in range(min(i, k + i - n) + 1)}
+        for n in range(m + 1, k + m + 1)
+        for i in range(m + 1)
+    )
+    pivots = {min(row): row for row in rref(rows)}
+    out = []
+    for c in range(1, len(variables), 2):
+        if c in pivots:
+            row = pivots[c]
+            out.append({c - 1: row[c], **{j: v for j, v in row.items() if j != c}})
+            out.append(row)
+        else:
+            out.append({c - 1: Fraction(1), c: Fraction(-1)})
+    return tuple(out)
+
+
+class TestBlocksMatchWholeSystem:
+    """Byte identity of the block-by-block rows with the whole-system
+    elimination: values, their Fraction type, column and row order."""
+
+    @pytest.mark.parametrize("m,orders", [(m, range(21)) for m in range(13)] + [(32, [32])])
+    def test_sparse_rows_identical(self, m, orders):
+        for k in orders:
+            rows = _generate(m, k).sparse_rows
+            # _items alone would accept an int in place of an equal Fraction.
+            assert all(type(v) is Fraction for row in rows for v in row.values()), (m, k)
+            assert _items(rows) == _items(_generate_reference(m, k)), (m, k)
 
 
 class TestConditionsMatchElimination:
