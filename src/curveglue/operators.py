@@ -9,8 +9,8 @@ jets a_s^(r)(0), b_s^(r)(0) with s <= k, r <= m, so it is captured by a
 finite linear system:
 
 * :func:`generate_conditions` reduces the defining equation on branch a
-  weight block by weight block - two block kinds in closed form, the third
-  by fraction-free elimination - and mirrors it to branch b: the ground
+  weight block by weight block - each block in closed form, by one exact
+  Lagrange interpolation formula - and mirrors it to branch b: the ground
   truth;
 * :func:`probe_admissible` is the independent brute-force oracle: it applies
   the operators to a spanning family of glued pairs and compares output jets.
@@ -208,67 +208,6 @@ def _variables(m: int, k: int) -> tuple[JetVar, ...]:
     return tuple(out)
 
 
-def rref(rows) -> list[dict[int, Fraction]]:
-    """Reduced row-echelon form over the rationals of sparse rows, each a
-    ``{column: value}`` dict of ints or Fractions; zero rows dropped, the
-    sparse pivot rows returned in order of pivot column, their values
-    Fractions.
-
-    Each returned row holds only nonzero entries, its columns in increasing
-    order: the pivot, equal to 1, comes first.  Readers rely on this order
-    and do not sort again.
-
-    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
-    row is scaled to integers by the lcm of its denominators, and a pivot row
-    is kept as an integer row P over the denominator e it was last updated
-    at, so that P / e is the reduced row.  With d the latest pivot, the
-    determinant of the pivot block so far, a new row v is reduced to
-    u = d v - sum_c v[c] (d / e_c) P_c over the pivot rows it meets, with no
-    division left over; its leading entry is the next pivot d', and a pivot
-    row P that meets the new pivot column becomes (d' P - P[lead] u) / e,
-    a division that is exact by Sylvester's identity.  A pivot row the new
-    column misses is left as it is.  Pivot rows stay zero at every other
-    pivot column, so the result is the unique reduced form of the row space;
-    one ``Fraction(x, e)`` is built per output entry."""
-    pivots: dict[int, tuple[dict[int, int], int]] = {}
-    d = 1
-    for row in rows:
-        row = {c: v for c, v in row.items() if v}
-        if not row:
-            continue
-        den = math.lcm(*(v.denominator for v in row.values()))
-        row = {c: d * v.numerator * (den // v.denominator) for c, v in row.items()}
-        for col in [c for c in row if c in pivots]:
-            pivot, e = pivots[col]
-            if e != d:
-                pivot = {c: v * d // e for c, v in pivot.items()}
-                pivots[col] = pivot, d
-            _subtract(row, row[col] // d, pivot)
-        if not row:
-            continue
-        lead = min(row)
-        new = row[lead]
-        for col, (other, e) in pivots.items():
-            x = other.get(lead)
-            if x:
-                other = {c: new * v for c, v in other.items()}
-                _subtract(other, x, row)
-                pivots[col] = {c: v // e for c, v in other.items()}, new
-        pivots[lead] = row, new
-        d = new
-    return [{c: Fraction(v, e) for c, v in sorted(row.items())} for _, (row, e) in sorted(pivots.items())]
-
-
-def _subtract(row: dict, factor, pivot: dict) -> None:
-    """row -= factor * pivot, dropping entries that cancel."""
-    for c, v in pivot.items():
-        value = row.get(c, 0) - factor * v
-        if value:
-            row[c] = value
-        else:
-            del row[c]
-
-
 def render_linear(row: dict[int, Fraction], variables) -> str:
     """Render a sparse constraint row, columns in increasing order, as '... = 0'."""
     return signed_sum((c, variables[col].name) for col, c in row.items()) + " = 0"
@@ -285,10 +224,11 @@ class ConditionSet(NamedTuple):
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space.
 
-    ``sparse_rows`` are its pivot rows in reduced row-echelon form, in the
-    form :func:`rref` returns: ``{column: Fraction}`` dicts over
-    ``variables`` with their columns in increasing order, in order of pivot
-    column.  :func:`_generate` builds them weight block by weight block, so a
+    ``sparse_rows`` are its pivot rows in reduced row-echelon form:
+    ``{column: Fraction}`` dicts over ``variables`` holding only nonzero
+    entries, the pivot, equal to 1, first and the columns increasing, the rows
+    in order of pivot column.  Readers rely on this order and do not sort
+    again.  :func:`_generate` builds them weight block by weight block, so a
     row's unknowns all share one weight s - r.  They are the only stored form
     and are shared through the condition caches, so callers must not mutate
     them."""
@@ -350,39 +290,54 @@ def _generate(m: int, k: int) -> ConditionSet:
 
     Those rows split by the weight w = n - i = s - r into blocks with
     disjoint unknowns u_r = a_(w+r)^(r), r <= top = min(m, k - w) (so
-    1 <= w <= k), and rows sum_r C(i,r) u_r for i0 = max(0, m + 1 - w) <= i
-    <= m.  The higher r, the lower the column of u_r, so each block reduces
-    alone, in one of three ways:
+    1 <= w <= k), and h = m + 1 - i0 rows sum_r C(i,r) u_r = 0 for
+    i0 = max(0, m + 1 - w) <= i <= m: the Newton form p(x) = sum_r u_r C(x,r)
+    vanishes at i0..m.  The higher r, the lower the column of u_r, so each
+    block reduces alone, by one interpolation formula.  With f = top - h < 0
+    every u_r = 0, a unit row.  Otherwise u_0..u_f are free and p, of degree
+    <= top, is fixed by its values p(j) = sum_q C(j,q) u_q at j <= f and its
+    zeros at i0..m (f < i0): with the Lagrange basis L_j on those nodes,
+    p(t) = sum_q u_q P_q(t), P_q(t) = sum_(j>=q) C(j,q) L_j(t), and each pivot
+    u_p = Delta^p p(0), f < p <= top, is sum_q v(p,q) u_q with
 
-    * full rank, m - i0 >= top: any top + 1 rows of the Pascal matrix are
-      independent, so every u_r = 0, a unit row;
-    * square, top = m (and i0 > 0): rows i0..m of the unit lower triangular
-      Pascal matrix, whose reduced form is, in integers,
-      u_i = sum_(j<i0) (-1)^(i+i0-1) C(i,j) C(i-j-1, i0-1-j) u_j;
-    * truncated-short, the rest (top < m, fewer rows than unknowns): one
-      :func:`rref` of the block alone.
+      v(p,q) = (-1)^(p-f) C(p,q) C(p-q-1, f-q)
+               + sum_(t in gap, t <= p) (-1)^(p-t) C(p,t) P_q(t),
+
+    the first term the alternating Pascal sum over t <= f, the gap the nodes
+    f < t < i0, t <= top, where p is interpolated (empty when top = m).  As
+    L_j(t) = (-1)^(f-j) (f+1) C(f,j) C(t,f+1) C(m-t,h) / (C(m-j,h) (t-j)), all
+    of it is in integers over d = lcm_j C(m-j,h) lcm(1..top) (d = 1 with no
+    gap), and one Fraction(-d v, d) is built per entry.
 
     The result is mirrored to b, whose column is just before a's: a pivot
     a_s^(r) gives the b_s^(r) row (its a row, pivot moved to b), then the a
     row; a free a_s^(r) gives b_s^(r)(0) - a_s^(r)(0) = 0."""
     one, minus_one = Fraction(1), Fraction(-1)
+    comb = math.comb
     pivots = {}
     for w in range(1, k + 1):
         i0, top = max(0, m + 1 - w), min(m, k - w)
+        h = m + 1 - i0
+        f = top - h
         col = [2 * ((k - w - r) * (m + 1) + m - r) + 1 for r in range(top + 1)]  # u_r's column
-        if m - i0 >= top:
+        if f < 0:
             pivots.update((c, {c: one}) for c in col)
-        elif top == m:
-            for i in range(i0, m + 1):
-                sign = (-1) ** (i + i0)
-                pivots[col[i]] = {col[i]: one} | {
-                    col[j]: Fraction(sign * math.comb(i, j) * math.comb(i - j - 1, i0 - 1 - j))
-                    for j in range(i0 - 1, -1, -1)
-                }
-        else:
-            rows = ({col[r]: math.comb(i, r) for r in range(min(i, top) + 1)}
-                    for i in range(i0, m + 1))
-            pivots.update((min(row), row) for row in rref(rows))
+            continue
+        gap = range(f + 1, min(i0, top + 1))
+        d = math.lcm(*(comb(m - j, h) for j in range(f + 1))) * math.lcm(*range(1, top + 1)) if gap else 1
+        dp = {}  # dp[t][q] = d P_q(t)
+        for t in gap:
+            scale = (f + 1) * comb(t, f + 1) * comb(m - t, h)
+            dl = [(-1) ** (f - j) * scale * comb(f, j) * (d // comb(m - j, h) // (t - j)) for j in range(f + 1)]
+            dp[t] = [sum(comb(j, q) * dl[j] for j in range(q, f + 1)) for q in range(f + 1)]
+        for p in range(f + 1, top + 1):
+            weights = [((-1) ** (p - t) * comb(p, t), dp[t]) for t in gap if t <= p]
+            row = {col[p]: one}
+            for q in range(f, -1, -1):
+                dv = (-1) ** (p - f) * d * comb(p, q) * comb(p - q - 1, f - q)
+                dv += sum(c * x[q] for c, x in weights)
+                row[col[q]] = Fraction(-dv, d)
+            pivots[col[p]] = row
     variables = _variables(m, k)
     out = []
     for c in range(1, len(variables), 2):

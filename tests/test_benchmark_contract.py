@@ -1,7 +1,7 @@
 """The library names the benchmark in ``perfbench/`` relies on.
 
 The harness looks some of them up with ``getattr``/``hasattr`` fallbacks, so
-a rename would silently zero its cache counters or drop its ``rref`` spans
+a rename would silently zero its cache counters or drop its timing spans
 instead of failing.  This test makes such a rename fail here.
 """
 
@@ -46,7 +46,6 @@ USED = {
         "pair_commutator",
         "pair_compose",
         "probe_admissible",
-        "rref",
         "spanning_family",
         "verify_order",
     ],

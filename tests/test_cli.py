@@ -115,6 +115,17 @@ def test_conditions_K64_output_is_pinned(capsys):
     assert digest == "5bded49f4065ce3aece4ec34c9fb1730b772a4297bda20fba7ecca000d1e673b"
 
 
+def test_conditions_K96_output_is_pinned(capsys):
+    # Line count and digest of the output of the block-by-block elimination
+    # that the interpolation formula replaced; its truncated-short blocks
+    # exercise the gap term.
+    status, captured = run(capsys, "conditions", "--space", "K96", "--order", "96", "--max-degree", "96")
+    assert status == 0
+    assert captured.out.count("\n") == 11761
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "ef9e45e0fb7f6836d64af8cbfc54e8f4ebbaa4a4a949bb7969bf4edeebf10b6f"
+
+
 # The parser that reads back each verb's ``result.dsl``.
 RESULT_PARSERS = {
     "compose": dsl.parse_paired,

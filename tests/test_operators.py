@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curveglue import operators as operators_module
 from curveglue.errors import (
     AdmissibilityError,
     ClosureBugError,
@@ -34,7 +33,6 @@ from curveglue.operators import (
     pair_compose,
     probe_admissible,
     render_linear,
-    rref,
     spanning_family,
     verify_order,
 )
@@ -349,6 +347,68 @@ class TestDeltaChainKernel:
             assert verify_order(op, k, probe_degree) == (op.order <= k)
 
 
+def rref(rows):
+    """Reduced row-echelon form over the rationals of sparse rows, each a
+    ``{column: value}`` dict of ints or Fractions; zero rows dropped, the
+    sparse pivot rows returned in order of pivot column, their values
+    Fractions: the elimination oracle for the interpolation formula of
+    _generate.
+
+    Each returned row holds only nonzero entries, its columns in increasing
+    order: the pivot, equal to 1, comes first, the row invariant of
+    ConditionSet.sparse_rows.
+
+    The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+    row is scaled to integers by the lcm of its denominators, and a pivot row
+    is kept as an integer row P over the denominator e it was last updated
+    at, so that P / e is the reduced row.  With d the latest pivot, the
+    determinant of the pivot block so far, a new row v is reduced to
+    u = d v - sum_c v[c] (d / e_c) P_c over the pivot rows it meets, with no
+    division left over; its leading entry is the next pivot d', and a pivot
+    row P that meets the new pivot column becomes (d' P - P[lead] u) / e,
+    a division that is exact by Sylvester's identity.  A pivot row the new
+    column misses is left as it is.  Pivot rows stay zero at every other
+    pivot column, so the result is the unique reduced form of the row space;
+    one ``Fraction(x, e)`` is built per output entry."""
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    d = 1
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        if not row:
+            continue
+        den = math.lcm(*(v.denominator for v in row.values()))
+        row = {c: d * v.numerator * (den // v.denominator) for c, v in row.items()}
+        for col in [c for c in row if c in pivots]:
+            pivot, e = pivots[col]
+            if e != d:
+                pivot = {c: v * d // e for c, v in pivot.items()}
+                pivots[col] = pivot, d
+            _subtract(row, row[col] // d, pivot)
+        if not row:
+            continue
+        lead = min(row)
+        new = row[lead]
+        for col, (other, e) in pivots.items():
+            x = other.get(lead)
+            if x:
+                other = {c: new * v for c, v in other.items()}
+                _subtract(other, x, row)
+                pivots[col] = {c: v // e for c, v in other.items()}, new
+        pivots[lead] = row, new
+        d = new
+    return [{c: Fraction(v, e) for c, v in sorted(row.items())} for _, (row, e) in sorted(pivots.items())]
+
+
+def _subtract(row: dict, factor, pivot: dict) -> None:
+    """row -= factor * pivot, dropping entries that cancel."""
+    for c, v in pivot.items():
+        value = row.get(c, 0) - factor * v
+        if value:
+            row[c] = value
+        else:
+            del row[c]
+
+
 def _named_row(conditions, terms):
     """Row vector for a hand-written condition given as {(branch, s, r): coeff}."""
     index = {v: i for i, v in enumerate(conditions.variables)}
@@ -488,9 +548,17 @@ def _block_pascal_rows(m, k, w, index):
     ]
 
 
+# One weight block (m, k, w) with m, k <= 96 and 1 <= w <= k.
+_blocks = st.tuples(st.integers(0, 96), st.integers(1, 96)).flatmap(
+    lambda mk: st.tuples(st.just(mk[0]), st.just(mk[1]), st.integers(1, mk[1]))
+)
+
+
 class TestWeightBlocks:
-    """_generate reduces each weight block w = s - r alone: unit rows, the
-    square closed form or one rref of the block, against a dense oracle."""
+    """_generate reduces each weight block w = s - r alone, by one
+    interpolation formula, against a dense oracle and the sparse rref: unit
+    rows in the full-rank kind, the closed form with no gap in the square
+    kind, the gap term in the truncated-short kind."""
 
     def test_blocks_match_dense_gauss_jordan(self):
         kinds = {}
@@ -536,25 +604,18 @@ class TestWeightBlocks:
                     alone = {2 * (m - r) + 1: 1} in rows
                     assert alone == (2 * r < k) == (_block_kind(m, k, k - r) == "full rank"), (m, k, r)
 
-    def test_rref_runs_only_on_truncated_short_blocks(self, monkeypatch):
-        calls = []
-
-        def recording(rows):
-            rows = list(rows)
-            calls.append(rows)
-            return rref(rows)
-
-        monkeypatch.setattr(operators_module, "rref", recording)
-        for m in range(9):
-            for k in range(13):
-                calls.clear()
-                index = {v: c for c, v in enumerate(_variables(m, k))}
-                _generate.__wrapped__(m, k)
-                assert calls == [
-                    _block_pascal_rows(m, k, w, index)
-                    for w in range(1, k + 1)
-                    if _block_kind(m, k, w) == "truncated-short"
-                ], (m, k)
+    @settings(max_examples=40, deadline=None)
+    @given(_blocks)
+    @example((96, 96, 40))  # f = 16, so u_0..u_16 are free, and the gap is 17..56
+    def test_large_blocks_match_rref(self, block):
+        m, k, w = block
+        conditions = _generate.__wrapped__(m, k)  # uncached: keeps the cache small
+        index = {v: c for c, v in enumerate(conditions.variables)}
+        rows = _block_pascal_rows(m, k, w, index)
+        columns = set().union(*rows)
+        got = [row for row in conditions.sparse_rows if min(row) in columns]
+        assert all(type(v) is Fraction for row in got for v in row.values()), block
+        assert _items(got) == _items(rref(rows)), block
 
 
 def _two_branch_rows(m, k):
