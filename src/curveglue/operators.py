@@ -14,6 +14,11 @@ finite linear system:
   truth;
 * :func:`probe_admissible` is the independent brute-force oracle: it applies
   the operators to a spanning family of glued pairs and compares output jets.
+
+Both oracles run on integers.  The check puts the jet unknowns of both
+branches over one common denominator and evaluates each row with its own
+denominators cross-multiplied; the probe forms only the m-jet of each image,
+term by term, and never a full product, so the degree cap does not bind it.
 """
 
 from __future__ import annotations
@@ -254,14 +259,40 @@ class ConditionSet(NamedTuple):
     def rendered(self) -> tuple[str, ...]:
         return tuple(render_linear(row, self.variables) for row in self.sparse_rows)
 
-    def violations(self, values) -> tuple[Violation, ...]:
-        """The rows the given unknown values fail; only these are rendered."""
+    def violations(self, values, den: int) -> tuple[Violation, ...]:
+        """The rows failed by the unknowns ``values[col] / den``: integers, one
+        per column of ``variables``.  Each row is evaluated in integers over
+        the product of its own distinct denominators; only a failing row is
+        rendered and gets a ``Fraction`` lhs."""
         out = []
         for row in self.sparse_rows:
-            lhs = sum((c * values[self.variables[col]] for col, c in row.items()), Fraction(0))
-            if lhs:
-                out.append(Violation(render_linear(row, self.variables), lhs))
+            total, q = 0, 1  # the row so far is total / (q * den)
+            for col, c in row.items():
+                x = values[col]
+                if x:
+                    d = c.denominator
+                    if q % d:
+                        total, q = total * d + c.numerator * x * q, q * d
+                    else:
+                        total += c.numerator * x * (q // d)
+            if total:
+                out.append(Violation(render_linear(row, self.variables), Fraction(total, q * den)))
         return tuple(out)
+
+
+def _jet_values(pairs, m: int) -> tuple[list[int], int]:
+    """The unknowns b^(r)(0), a^(r)(0) of each coefficient pair (a, b), for
+    r = m..0 - the column order of both condition systems - as the integers
+    r! * nums[r] over one common denominator of every coefficient."""
+    den = math.lcm(*(p.den for pair in pairs for p in pair))
+    facts = [math.factorial(r) for r in range(m + 1)]
+    out = []
+    for a, b in pairs:
+        sa, sb = den // a.den, den // b.den
+        for r in range(m, -1, -1):
+            out.append(facts[r] * sb * b.nums[r] if r < len(b.nums) else 0)
+            out.append(facts[r] * sa * a.nums[r] if r < len(a.nums) else 0)
+    return out, den
 
 
 def spanning_family(space: SpaceSpec, max_diag: int, max_branch: int):
@@ -376,17 +407,41 @@ def check_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int) -> Ad
     conditions = generate_conditions(space, k)
     if d1.order > k or d2.order > k:
         raise OrderError(f"branch orders exceed the declared order {k}")
-    ops = {"a": d1, "b": d2}
-    values = {v: ops[v.branch].coeff(v.s).deriv_at_zero(v.r) for v in conditions.variables}
-    return AdmissibilityReport(space, k, conditions.violations(values))
+    values, den = _jet_values([(d1.coeff(s), d2.coeff(s)) for s in range(k, -1, -1)], space.m)
+    return AdmissibilityReport(space, k, conditions.violations(values, den))
+
+
+def _apply_jet(a: list[list[int]], f: Poly, m: int) -> list[int]:
+    """The m-jet of D f, for D given by integer numerator arrays ``a`` over
+    some denominator e: its m + 1 numerators over e * f.den.  A term c x^n of
+    f adds c n!/(n-i)! a_i[t-n+i] at x^t, so only terms up to x^m are formed
+    and only f's terms up to x^(m + order) are read."""
+    out = [0] * (m + 1)
+    for n, c in enumerate(f.nums[:m + len(a)]):
+        if c:
+            for i in range(max(0, n - m), min(n + 1, len(a))):
+                scale, low = c * math.perm(n, i), n - i
+                for t, x in enumerate(a[i][:m + 1 - low], low):
+                    out[t] += scale * x
+    return out
 
 
 def probe_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, probe_degree: int) -> bool:
     """Brute-force oracle: apply both operators to the spanning family and
-    compare output m-jets at 0.  Independent of the generated conditions."""
+    compare output m-jets at 0.  Independent of the generated conditions.
+
+    Only the m-jets are formed (:func:`_apply_jet`), in integers, so no
+    product meets the degree cap."""
     m = space.m
+    (a, da), (b, db) = _nums(d1), _nums(d2)
+    jets_a, jets_b = {}, {}  # x^n recurs in a diagonal and a branch member
     for f, g in spanning_family(space, max_diag=probe_degree, max_branch=probe_degree):
-        if d1.apply(f).jet(m) != d2.apply(g).jet(m):
+        if f not in jets_a:
+            jets_a[f] = _apply_jet(a, f, m)
+        if g not in jets_b:
+            jets_b[g] = _apply_jet(b, g, m)
+        left, right = db * g.den, da * f.den  # cross-multiplied denominators
+        if [x * left for x in jets_a[f]] != [y * right for y in jets_b[g]]:
             return False
     return True
 

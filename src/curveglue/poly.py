@@ -101,10 +101,10 @@ class Poly(NamedTuple):
     def monomial(power: int, coefficient=1) -> "Poly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        c = frac(coefficient)
-        if c == 0:
+        num, den = (coefficient, 1) if type(coefficient) is int else frac(coefficient).as_integer_ratio()
+        if num == 0:
             return ZERO
-        return Poly((0,) * power + (c.numerator,), c.denominator)
+        return Poly((0,) * power + (num,), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -182,10 +182,6 @@ class Poly(NamedTuple):
             power *= q
             value = value * p + c * power
         return Fraction(value, self.den * power)
-
-    def deriv_at_zero(self, r: int) -> Fraction:
-        """r-th derivative at 0, i.e. r! times the r-th coefficient."""
-        return self.coeff(r) * math.factorial(r)
 
     def jet(self, order: int) -> "Poly":
         """The m-jet at 0: the terms up to ``x**order``, zero for a negative

@@ -24,6 +24,7 @@ from .operators import (
     BranchOp,
     ConditionSet,
     PairedOp,
+    _jet_values,
     _prime_name,
     pair_commutator,
 )
@@ -81,9 +82,8 @@ class SymbolElem(NamedTuple):
 def check_symbol_conditions(s: SymbolElem) -> AdmissibilityReport:
     """Evaluate the degree stratum on the actual coefficient jets."""
     conditions = symbol_conditions(s.space.m, s.degree)
-    top = {"a": s.a, "b": s.b}
-    values = {v: top[v.branch].deriv_at_zero(v.r) for v in conditions.variables}
-    return AdmissibilityReport(s.space, s.degree, conditions.violations(values))
+    values, den = _jet_values([(s.a, s.b)], s.space.m)
+    return AdmissibilityReport(s.space, s.degree, conditions.violations(values, den))
 
 
 def make_symbol(degree: int, a: Poly, b: Poly, space: SpaceSpec) -> SymbolElem:

@@ -5,9 +5,13 @@ All checks are exact (rational arithmetic); the only tolerances are the
 fixed sampling sizes and seeds below.
 """
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curveglue.glued import (
     SpaceSpec,
@@ -94,6 +98,27 @@ def test_criterion_2_oracle_equivalence():
         disagreements += generated != probed
     _verdict(f"criterion 2: oracle equivalence, 500 samples, {disagreements} disagreements",
              disagreements == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32 - 1), st.data())
+def test_oracle_agreement_at_the_boundary(m, k, seed, data):
+    """An admissible pair passes both oracles; moving exactly one jet unknown
+    a_s^(r)(0) or b_s^(r)(0), free or pivot, by a nonzero rational fails both:
+    every column occurs in some reduced row."""
+    space = SpaceSpec(m)
+    pair = random_admissible_pair(space, k, random.Random(seed))
+    depth = default_probe_degree(space, k)
+    assert check_admissible(pair.d1, pair.d2, space, k).ok
+    assert probe_admissible(pair.d1, pair.d2, space, depth)
+    var = data.draw(st.sampled_from(generate_conditions(space, k).variables))
+    delta = data.draw(st.fractions(-5, 5, max_denominator=6).filter(bool))
+    ops = {"a": pair.d1, "b": pair.d2}
+    coeffs = [ops[var.branch].coeff(s) for s in range(k + 1)]
+    coeffs[var.s] += Poly.monomial(var.r, delta / math.factorial(var.r))
+    ops[var.branch] = BranchOp.of(*coeffs)
+    assert not check_admissible(ops["a"], ops["b"], space, k).ok
+    assert not probe_admissible(ops["a"], ops["b"], space, depth)
 
 
 def test_criterion_3_closure():

@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,6 +23,7 @@ from curveglue.cli import main
 from curveglue.glued import SpaceSpec
 from curveglue.operators import default_probe_degree, generate_conditions
 from curveglue.poly import get_degree_cap
+from curveglue.sampling import random_admissible_pair
 from curveglue.spectra import char_eval
 from curveglue.symbols import SymbolElem
 
@@ -378,6 +380,17 @@ class TestProbeDepth:
         argv = ["check", DATA / "pair_euler_K1.txt", "--space", "K1", "--json", "--probe-depth"]
         payload = json.loads(run(capsys, *argv, *option)[1].out)
         assert payload["probe"]["depth"] == default_probe_degree(SpaceSpec(1), 1)
+
+    @pytest.mark.parametrize("option,depth", [([], 34), (["32"], 32)])
+    def test_probe_never_meets_the_degree_cap(self, tmp_path, capsys, option, depth):
+        # Coefficients of degree 17 times x^(k + m + 2) would be of degree 51;
+        # the probe forms only m-jets, so it runs under the default cap.
+        path = tmp_path / "pair.txt"
+        path.write_text(str(random_admissible_pair(SpaceSpec(16), 16, random.Random(3))) + "\n")
+        assert get_degree_cap() == 32
+        status, captured = run(capsys, "check", path, "--space", "K16", "--probe-depth", *option)
+        assert (status, captured.err) == (0, "")
+        assert captured.out.splitlines()[-1] == f"probe (depth {depth}): admissible"
 
 
 class TestTwoBlockInput:

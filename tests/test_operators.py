@@ -36,8 +36,9 @@ from curveglue.operators import (
     spanning_family,
     verify_order,
 )
-from curveglue.operators import _generate, _leibniz, _nums, _variables
-from curveglue.poly import ZERO, Poly, degree_cap, get_degree_cap, signed_sum
+from curveglue import operators
+from curveglue.operators import _apply_jet, _generate, _leibniz, _nums, _variables
+from curveglue.poly import ZERO, Poly, _poly, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair
 from curveglue.symbols import SymbolVar, symbol_conditions
 
@@ -483,6 +484,10 @@ def _gauss_jordan(rows, ncols):
     return [tuple(row) for row in out]
 
 
+def _deriv_at_zero(p, r):
+    return p.coeff(r) * math.factorial(r)
+
+
 def _defining_row(variables, f, g, i):
     """Dense row of the equation (D1 f)^(i)(0) = (D2 g)^(i)(0) in the jet unknowns.
 
@@ -493,7 +498,7 @@ def _defining_row(variables, f, g, i):
             row.append(Fraction(0))
             continue
         p = f if var.branch == "a" else g
-        value = math.comb(i, var.r) * p.deriv_at_zero(var.s + i - var.r)
+        value = math.comb(i, var.r) * _deriv_at_zero(p, var.s + i - var.r)
         row.append(value if var.branch == "a" else -value)
     return row
 
@@ -716,7 +721,7 @@ def _dense_render(row, variables):
 
 class TestSparseRowsMatchDenseReference:
     """``rendered`` and ``violations`` read only the sparse rows; a dense walk
-    over the same rows is the reference."""
+    over the same rows, in ``Fraction`` arithmetic, is the reference."""
 
     @pytest.mark.parametrize("m", range(6))
     def test_render_violations_and_row_order(self, m):
@@ -726,16 +731,18 @@ class TestSparseRowsMatchDenseReference:
             for conditions in (_generate(m, k), symbol_conditions(m, k)):
                 variables, dense = conditions.variables, conditions.rows
                 assert conditions.rendered == tuple(_dense_render(row, variables) for row in dense)
-                choices = [0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 2)]
-                values = {v: rng.choice(choices) for v in variables}
+                # Integer unknowns over one denominator, as both checks pass them.
+                den = rng.choice([1, 2, 6])
+                values = [rng.choice([0, 0, 1, -1, 2, -3]) for _ in variables]
                 expected = []
                 for row in dense:
-                    lhs = sum(c * values[v] for c, v in zip(row, variables))
+                    lhs = sum((c * Fraction(x, den) for c, x in zip(row, values)), Fraction(0))
                     verdicts.add(bool(lhs))
                     if lhs:
                         expected.append((_dense_render(row, variables), lhs))
-                got = [(v.constraint, v.lhs) for v in conditions.violations(values)]
-                assert got == expected, (m, k)
+                violations = conditions.violations(values, den)
+                assert all(type(v.lhs) is Fraction for v in violations)
+                assert [(v.constraint, v.lhs) for v in violations] == expected, (m, k)
                 for row in conditions.sparse_rows:
                     columns = list(row)
                     assert all(a < b for a, b in zip(columns, columns[1:])), (m, k, row)
@@ -787,6 +794,43 @@ class TestProbe:
             assert probe_admissible(d1, d2, space, k + space.m) == generated
             verdicts.add(generated)
         assert verdicts == {True, False}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.lists(st.lists(small_fractions, max_size=9).map(lambda cs: Poly.of(*cs)), max_size=6)
+        .map(lambda coeffs: BranchOp.of(*coeffs)),
+        small_fractions,
+    )
+    def test_jet_matches_apply(self, m, op, c):
+        # apply is the oracle: the whole product, cut to the m-jet at the end.
+        a, den = _nums(op)
+        space = SpaceSpec(m)
+        depth = default_probe_degree(space, max(op.order, 0))
+        with degree_cap(128):
+            for f, g in spanning_family(space, depth, depth):
+                for p in (f, g, f * c):
+                    assert _poly(_apply_jet(a, p, m), den * p.den) == op.apply(p).jet(m)
+
+    def test_never_reads_the_conditions(self, monkeypatch):
+        rng = random.Random(107)
+        cases = []
+        for _ in range(20):
+            space = SpaceSpec(rng.randint(0, 3))
+            k = rng.randint(0, 4)
+            pair = random_admissible_pair(space, k, rng)
+            moved = pair.d1 + BranchOp.derivative(Poly.monomial(rng.randint(0, space.m)), k)
+            cases += [(pair.d1, pair.d2, space, k, True), (moved, pair.d2, space, k, False)]
+
+        def refuse(*args):
+            raise AssertionError("the probe read the generated conditions")
+
+        monkeypatch.setattr(operators, "_generate", refuse)
+        monkeypatch.setattr(operators, "generate_conditions", refuse)
+        for d1, d2, space, k, admissible in cases:
+            assert probe_admissible(d1, d2, space, default_probe_degree(space, k)) == admissible
+        with pytest.raises(AssertionError):
+            check_admissible(D, D, K0, 1)
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(101)
