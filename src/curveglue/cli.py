@@ -27,7 +27,7 @@ from .operators import (
     pair_compose,
     probe_admissible,
 )
-from .poly import Poly, degree_cap, get_degree_cap, poly2_str
+from .poly import Poly, degree_cap, get_degree_cap, poly2_str, rational_str
 from .spectra import char_eval, nullity_identity_check, separating_witness
 from .symbols import pair_symbol, poisson_bracket
 
@@ -60,7 +60,7 @@ def _read(path: str) -> str:
 
 
 def _poly_coeffs(p: Poly) -> list[str]:
-    return [str(c) for c in p.coeffs]
+    return [rational_str(c, p.den) for c in p.nums]
 
 
 def _op_coeffs(op: BranchOp) -> list[list[str]]:
@@ -79,7 +79,8 @@ def _emit(args, lines, space, verdict="pass", *, result=None, order=None, report
         payload["order"] = order
     payload["verdict"] = verdict
     payload["violations"] = [
-        {"constraint": v.constraint, "lhs": str(v.lhs), "rhs": "0"}
+        {"constraint": v.constraint, "lhs": rational_str(*v.lhs.as_integer_ratio()),
+         "rhs": "0"}
         for v in (report.violations if report else ())
     ]
     if probe is not None:
@@ -119,7 +120,8 @@ def _cmd_check(args) -> int:
     lines = [f"space {args.space}, order {order}: "
              + ("admissible" if report.ok else "NOT admissible")]
     for v in report.violations:
-        lines.append(f"  violated: {v.constraint}   (lhs = {v.lhs}, rhs = 0)")
+        lhs = rational_str(*v.lhs.as_integer_ratio())
+        lines.append(f"  violated: {v.constraint}   (lhs = {lhs}, rhs = 0)")
     probe = None
     if depth is not None:
         probed = probe_admissible(pair.d1, pair.d2, args.space, depth)
@@ -220,7 +222,7 @@ def _cmd_witness(args) -> int:
         text = dsl.render_glued(witness)
         result = {
             "witness": text,
-            "values": [str(char_eval(c1, witness)), str(char_eval(c2, witness))],
+            "values": [rational_str(*char_eval(c, witness).as_integer_ratio()) for c in (c1, c2)],
         }
     _emit(args, [text], args.space, result=result)
     return 0

@@ -24,6 +24,7 @@ Block forms:
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple
@@ -31,7 +32,7 @@ from typing import NamedTuple
 from .errors import DSLSyntaxError, JetMismatch
 from .glued import GluedFunction, SpaceSpec, make_glued
 from .operators import BranchOp
-from .poly import ZERO, Poly, Poly2, get_degree_cap, poly_str
+from .poly import ZERO, Poly, Poly2, _poly, get_degree_cap, poly_str, rational_str
 from .spectra import Character, make_character
 from .symbols import SymbolElem, make_symbol
 
@@ -40,28 +41,33 @@ _TOKEN = re.compile(
 )
 
 
-def _rational(text: str, line: int, column: int | None = None) -> Fraction:
+def _rational(text: str, line: int, column: int | None = None) -> tuple[int, int]:
+    """The integers (numerator, denominator) of an ``INT`` or ``INT/INT``
+    literal, not reduced; a numerator may carry a sign."""
+    num, _, den = text.partition("/")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise DSLSyntaxError(f"zero denominator in {text!r}", line, column) from None
+        num, den = int(num), int(den or 1)
     except ValueError:  # more digits than int() converts
         raise DSLSyntaxError(f"number too long ({len(text)} characters)", line, column) from None
+    if not den:
+        raise DSLSyntaxError(f"zero denominator in {text!r}", line, column)
+    return num, den
 
 
 def _capped(text: str, what: str, line: int, column: int) -> int:
     """An integer that sizes the problem (exponent, contact order, degree,
     operator order), at most the degree cap."""
-    value = _rational(text, line, column)
+    value = _rational(text, line, column)[0]
     cap = get_degree_cap()
     if value > cap:
         raise DSLSyntaxError(f"{what} {value} exceeds the degree cap {cap}", line, column)
-    return int(value)
+    return value
 
 
-def _terms(lines, offset: int = 0) -> dict[tuple[int, int], Fraction]:
-    """The {(x power, y power): coefficient} sum of an expression spread over
-    ``(number, text)`` lines; a line break is whitespace.  Error columns
+def _terms(lines, offset: int = 0) -> tuple[dict[tuple[int, int], int], int]:
+    """The sum of an expression spread over ``(number, text)`` lines, in
+    integers: ``{(x power, y power): numerator}`` and the lcm of the literal
+    denominators they share.  A line break is whitespace.  Error columns
     count from ``offset`` + 1, and errors at the end of input have none."""
     toks = []
     number = 1
@@ -79,15 +85,15 @@ def _terms(lines, offset: int = 0) -> dict[tuple[int, int], Fraction]:
     def fail(message: str):
         raise DSLSyntaxError(message, *toks[i][1:])
 
-    terms: dict[tuple[int, int], Fraction] = {}
+    parts = []  # (key, signed numerator, denominator), one per term
     sign = -1 if toks[0][0] == "-" else 1
     i = 1 if toks[0][0] in ("+", "-") else 0
     while True:
         text, number, column = toks[i]
-        coeff = Fraction(1)
+        num = den = 1
         powers = {}
         if text[:1].isdigit():
-            coeff = _rational(text, number, column)
+            num, den = _rational(text, number, column)
             i += 1
         elif text not in ("x", "y"):
             fail("expected a term")
@@ -111,15 +117,19 @@ def _terms(lines, offset: int = 0) -> dict[tuple[int, int], Fraction]:
             if var in powers:
                 fail(f"variable {var!r} repeated in one term")
             powers[var] = power
-        key = (powers.get("x", 0), powers.get("y", 0))
-        terms[key] = terms.get(key, 0) + sign * coeff
+        parts.append(((powers.get("x", 0), powers.get("y", 0)), sign * num, den))
         text = toks[i][0]
         if not text:
-            return terms
+            break
         if text not in ("+", "-"):
             fail(f"expected '+' or '-', got {text!r}")
         sign = 1 if text == "+" else -1
         i += 1
+    lcm = math.lcm(*{den for _, _, den in parts})
+    terms: dict[tuple[int, int], int] = {}
+    for key, num, den in parts:
+        terms[key] = terms.get(key, 0) + num * (lcm // den)
+    return terms, lcm
 
 
 def _strip(line: str) -> str:
@@ -135,32 +145,33 @@ def _numbered_lines(text: str):
             yield number, line
 
 
-def _poly_of(coeffs: dict[int, Fraction]) -> Poly:
-    return Poly.of(*(coeffs.get(n, 0) for n in range(max(coeffs, default=-1) + 1)))
+def _poly_of(nums: dict[int, int], den: int) -> Poly:
+    return _poly([nums.get(n, 0) for n in range(max(nums, default=-1) + 1)], den)
 
 
 def parse_poly(text: str, line: int = 1, offset: int = 0) -> Poly:
     """Parse a univariate polynomial; x and y are both accepted as the
     indeterminate (branch naming is display only), but not mixed.  Error
     columns count from ``offset`` + 1."""
-    terms = _terms([(line, text)], offset)
-    has_x = any(i for (i, _), c in terms.items() if c)
-    has_y = any(j for (_, j), c in terms.items() if c)
+    terms, den = _terms([(line, text)], offset)
+    nums = [0] * (max(i + j for i, j in terms) + 1)
+    has_x = has_y = False
+    for (i, j), c in terms.items():
+        if c:
+            has_x, has_y = has_x or i > 0, has_y or j > 0
+            nums[i + j] += c
     if has_x and has_y:
         raise DSLSyntaxError("expected a univariate polynomial, found both x and y", line)
-    coeffs: dict[int, Fraction] = {}
-    for (i, j), c in terms.items():
-        coeffs[i + j] = coeffs.get(i + j, 0) + c
-    return _poly_of(coeffs)
+    return _poly(nums, den)
 
 
 def parse_poly2(text: str) -> Poly2:
     """Parse a plane polynomial in x and y, which may span several lines;
     comments and line breaks are whitespace, and errors name their line."""
-    terms = _terms(_numbered_lines(text))
+    terms, den = _terms(_numbered_lines(text))
     max_j = max(j for (_, j) in terms)
     return Poly2.of(*(
-        _poly_of({i: c for (i, jj), c in terms.items() if jj == j}) for j in range(max_j + 1)
+        _poly_of({i: c for (i, jj), c in terms.items() if jj == j}, den) for j in range(max_j + 1)
     ))
 
 
@@ -217,7 +228,7 @@ def parse_char(text: str, line: int = 1) -> Character:
     if not match:
         raise DSLSyntaxError("expected 'char branch=<1|2|sing> at=<rational>'", line)
     branch, column = match.group(1), match.start(2) + 1
-    at = _rational(match.group(2), line, column)
+    at = Fraction(*_rational(match.group(2), line, column))
     try:
         return make_character("sing" if branch == "sing" else int(branch), at)
     except ValueError as exc:  # the singular character off base point 0
@@ -245,7 +256,7 @@ def _parse_op_block(lines: list, index: int) -> tuple[tuple[BranchOp, int], int]
         match = _COEFF.match(line)
         if not match:
             break
-        i = int(_rational(match.group("index"), number, match.start("index") + 1))
+        i = _rational(match.group("index"), number, match.start("index") + 1)[0]
         if i > order:
             raise DSLSyntaxError(f"coefficient index {i} exceeds declared order {order}", number)
         if i in coeffs:
@@ -307,7 +318,7 @@ def render_symbol(s: SymbolElem) -> str:
 
 def render_char(c: Character) -> str:
     branch = c.branch if c.branch == "sing" else str(c.branch)
-    return f"char branch={branch} at={c.base_point}"
+    return f"char branch={branch} at={rational_str(*c.base_point.as_integer_ratio())}"
 
 
 def render_op(op: BranchOp, declared_order: int | None = None, var: str = "x") -> str:

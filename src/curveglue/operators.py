@@ -215,7 +215,8 @@ def _variables(m: int, k: int) -> tuple[JetVar, ...]:
 
 def render_linear(row: dict[int, Fraction], variables) -> str:
     """Render a sparse constraint row, columns in increasing order, as '... = 0'."""
-    return signed_sum((c, variables[col].name) for col, c in row.items()) + " = 0"
+    terms = ((c.numerator, c.denominator, variables[col].name) for col, c in row.items())
+    return signed_sum(terms) + " = 0"
 
 
 class Violation(NamedTuple):

@@ -5,22 +5,23 @@ functions on a single branch.  Every condition checked by this package is a
 finite-jet condition at 0, so polynomials witness all relevant behaviours
 exactly; there is no floating point anywhere.  A :class:`Poly` stores integer
 numerators over one positive common denominator in lowest terms, so its
-arithmetic runs on Python ints; ``Fraction`` appears only at the boundary
-(``coeffs``, ``coeff``, evaluation and rendering), and ``coeffs`` still
-returns a tuple of ``Fraction``.  An m-jet at 0 is itself a :class:`Poly`,
-the truncation ``p.jet(m)``.  A single bivariate type (:class:`Poly2`)
+arithmetic, its rendering and the DSL parser run on Python ints; ``Fraction``
+appears only at the boundary (``coeffs``, ``coeff`` and evaluation), and
+``coeffs`` still returns a tuple of ``Fraction``.  An m-jet at 0 is itself a
+:class:`Poly`, the truncation ``p.jet(m)``.  A single bivariate type (:class:`Poly2`)
 supports the plane-extension/restriction correspondence.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegreeCapExceeded, ExactDivisionError
+from .errors import CurveGlueError, DegreeCapExceeded, ExactDivisionError
 
 NEG_INF = float("-inf")
 
@@ -245,21 +246,36 @@ class Poly(NamedTuple):
 ZERO = Poly((), 1)
 
 
-def signed_sum(terms) -> str:
-    """Render (coefficient, monomial) pairs as ``3/2*x^2 - x + 1``.
+def rational_str(num: int, den: int = 1) -> str:
+    """The rational ``num / den`` (den > 0) in lowest terms as text, ``-3/2``
+    or ``5``: one gcd, then ``str`` on ints.  A number past Python's
+    int-to-str digit limit raises a CurveGlueError that names the limit."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise CurveGlueError(f"a number in the result has more than {limit} digits, "
+                             "the limit of Python's integer-to-text conversion") from None
 
-    Zero coefficients are skipped, the monomial ``""`` stands for 1, and the
-    empty sum is ``"0"``."""
+
+def signed_sum(terms) -> str:
+    """Render (numerator, denominator, monomial) triples as ``3/2*x^2 - x + 1``.
+
+    Each coefficient is reduced and printed by :func:`rational_str`; zero
+    coefficients are skipped, the monomial ``""`` stands for 1, and the empty
+    sum is ``"0"``."""
     parts = []
-    for c, mono in terms:
-        if not c:
+    for num, den, mono in terms:
+        if not num:
             continue
-        mag = abs(c)
-        body = f"{mag}*{mono}" if mag != 1 and mono else (mono or str(mag))
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+        mag = rational_str(abs(num), den)
+        body = f"{mag}*{mono}" if mono and mag != "1" else (mono or mag)
+        if parts:
+            parts.append(("+ " if num > 0 else "- ") + body)
         else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
+            parts.append(body if num > 0 else "-" + body)
     return " ".join(parts) or "0"
 
 
@@ -269,7 +285,7 @@ def _power(var: str, n: int) -> str:
 
 def poly_str(p: Poly, var: str = "x") -> str:
     """Render in the DSL syntax, e.g. ``3/2*x^2 - x + 1``."""
-    return signed_sum((c, _power(var, n)) for n, c in reversed(tuple(enumerate(p.coeffs))))
+    return signed_sum((c, p.den, _power(var, n)) for n, c in reversed(tuple(enumerate(p.nums))))
 
 
 class Poly2(NamedTuple):
@@ -300,7 +316,7 @@ class Poly2(NamedTuple):
 def poly2_str(F: Poly2) -> str:
     """Render as a sum of c*x^i*y^j terms."""
     return signed_sum(
-        (c, "*".join(filter(None, (_power("x", i), _power("y", j)))))
+        (c, s.den, "*".join(filter(None, (_power("x", i), _power("y", j)))))
         for j, s in enumerate(F.slices)
-        for i, c in enumerate(s.coeffs)
+        for i, c in enumerate(s.nums)
     )

@@ -320,6 +320,36 @@ class TestExitStatusContract:
         assert captured.err == "error: invalid symbol: b'(0) = 0; a'(0) = 0\n"
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-to-str digit limit",
+)
+class TestPrintingLimit:
+    """A result number past Python's int-to-str digit limit ends in one
+    error line and exit 2, in text and --json."""
+
+    SYMBOLS = f"symbol deg=1 m=0: {'7' * 3000}*x^2 | x^2\nsymbol deg=2 m=0: {'3' * 3000}*x^2 | x^2\n"
+    CHARS = f"char branch=1 at={'7' * 3000}\nchar branch=2 at={'7' * 3000}\n"
+    # The violated row b0(0) - a0(0) = 0 has an lhs with a 6000-digit denominator.
+    PAIR = f"branch x\nop order=0\ncoeff 0: 1/{'7' * 3000}\nbranch y\nop order=0\ncoeff 0: 1/{'3' * 2999}1\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("text, argv", [
+        (SYMBOLS, ["bracket", "-"]),
+        (CHARS, ["witness", "-", "--space", "K1"]),
+        (PAIR, ["check", "-", "--space", "K0"]),
+    ], ids=["bracket", "witness", "check"])
+    def test_one_error_line_and_exit_2(self, capsys, monkeypatch, text, argv, flags):
+        status, captured = run_stdin(capsys, monkeypatch, text, *argv, *flags)
+        assert status == 2
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            f"error: a number in the result has more than {limit} digits, "
+            "the limit of Python's integer-to-text conversion\n"
+        )
+
+
 class TestDegreeCapOption:
     def test_cap_is_scoped_to_one_call(self, capsys):
         run(capsys, "nullity", "--space", "K0", "--max-degree", "5")

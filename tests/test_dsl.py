@@ -1,6 +1,7 @@
 """DSL parsing, rendering roundtrips and error positions."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from curveglue import dsl
 from curveglue.errors import DSLSyntaxError
 from curveglue.glued import SpaceSpec, make_glued, random_glued
-from curveglue.operators import BranchOp
-from curveglue.symbols import symbol_scale
+from curveglue.operators import BranchOp, ConditionSet, generate_conditions
+from curveglue.symbols import symbol_conditions, symbol_scale
 from curveglue.poly import Poly, Poly2, degree_cap, get_degree_cap, poly2_str, poly_str
 from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.spectra import make_character
@@ -19,7 +20,25 @@ from curveglue.spectra import make_character
 
 # ---------------------------------------------------------------------------
 # Reference expression parser: the earlier token generator and
-# recursive-descent class, kept to check the one-pass parser against.
+# recursive-descent class, with the earlier Fraction-based literal readers,
+# kept to check the one-pass integer parser against.
+
+
+def _ref_rational(text: str, line: int, column: int | None = None) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise DSLSyntaxError(f"zero denominator in {text!r}", line, column) from None
+    except ValueError:  # more digits than int() converts
+        raise DSLSyntaxError(f"number too long ({len(text)} characters)", line, column) from None
+
+
+def _ref_capped(text: str, what: str, line: int, column: int) -> int:
+    value = _ref_rational(text, line, column)
+    cap = get_degree_cap()
+    if value > cap:
+        raise DSLSyntaxError(f"{what} {value} exceeds the degree cap {cap}", line, column)
+    return int(value)
 
 
 def _tokens(text: str, line: int, offset: int):
@@ -91,7 +110,7 @@ class _ExprParser:
         if tok is None:
             self.fail("expected a term")
         if tok[0] == "num":
-            coeff = dsl._rational(tok[1], self.line, tok[2])
+            coeff = _ref_rational(tok[1], self.line, tok[2])
             saw_coeff = True
             self.next()
             tok = self.peek()
@@ -114,7 +133,7 @@ class _ExprParser:
                 tok = self.peek()
                 if tok is None or tok[0] != "num" or "/" in tok[1]:
                     self.fail("expected an integer exponent after '^'")
-                power = dsl._capped(tok[1], "exponent", self.line, tok[2])
+                power = _ref_capped(tok[1], "exponent", self.line, tok[2])
                 self.next()
             if var in powers:
                 self.fail(f"variable {var!r} repeated in one term")
@@ -216,14 +235,43 @@ class TestPolyExpressions:
         assert (str(err.value), err.value.column) == ("empty expression at line 1", None)
 
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="Python before 3.10.7 has no int-to-str digit limit",
+)
+
+# Literals about Python's default int-to-str limit of 4300 digits: at the
+# limit they parse, one digit past it they are too long.
+NEAR_LIMIT = ["9" * 4300, "1/" + "3" * 4300, "7" * 4300 + "/" + "6" * 4300, "8" * 4301, "1/" + "3" * 4301]
+
 # Single-line text from DSL pieces, with 'var^number' factors drawn as often
 # as single pieces so that exponents other than plain integers turn up.
-NUMBERS = ["2", "10", "0", "3/4", "1/0", "1" + "0" * 4999]
+NUMBERS = ["2", "10", "0", "3/4", "1/0", "2/4", "0/7", "1" + "0" * 4999, *NEAR_LIMIT]
 EXPRESSION_PIECES = ["x", "y", *NUMBERS, "*", "^", "+", "-", " ", "$"]
 factors = st.builds("{}^{}".format, st.sampled_from("xy"), st.sampled_from(NUMBERS))
-expressions = st.lists(
-    st.one_of(st.sampled_from(EXPRESSION_PIECES), factors), max_size=12
-).map("".join)
+pieces = st.lists(st.one_of(st.sampled_from(EXPRESSION_PIECES), factors), max_size=12).map("".join)
+
+# Well-formed sums over a few monomials, so that terms repeat and merge
+# ('1/2*x^2 + 1/2*x^2') or cancel ('x - x').
+MONOMIALS = ["", "x", "x^2", "y", "y^3", "x*y", "x^2 y"]
+COEFFICIENTS = ["", "1", "3", "2/4", "0/7", "1/2", "5/6", *NEAR_LIMIT[:3]]
+sum_terms = st.tuples(st.sampled_from("+-"), st.sampled_from(COEFFICIENTS), st.sampled_from(MONOMIALS))
+
+
+@st.composite
+def sums(draw):
+    terms = draw(st.lists(sum_terms, min_size=1, max_size=5))
+    repeats = st.tuples(st.integers(0, len(terms) - 1), st.booleans())
+    for index, cancel in draw(st.lists(repeats, max_size=4)):
+        sign, coefficient, mono = terms[index]
+        terms.append(({"+": "-", "-": "+"}[sign] if cancel else sign, coefficient, mono))
+    return " ".join(
+        sign + ("*".join(filter(None, (coefficient, mono))) or "1")
+        for sign, coefficient, mono in draw(st.permutations(terms))
+    )
+
+
+expressions = st.one_of(pieces, sums())
 
 
 class TestAgainstReferenceParser:
@@ -238,6 +286,42 @@ class TestAgainstReferenceParser:
     @given(expressions)
     def test_poly2(self, text):
         assert _outcome(dsl.parse_poly2, text) == _outcome(_reference_poly2, text)
+
+
+class TestLiterals:
+    """Literals are read as integer pairs: unreduced fractions, repeated and
+    cancelling monomials, and the exact message and column of each error."""
+
+    def test_unreduced_repeated_and_cancelling(self):
+        assert dsl.parse_poly("2/4*x + 0/7") == Poly.of(0, Fraction(1, 2))
+        assert dsl.parse_poly("x - x") == Poly.of()
+        assert dsl.parse_poly("1/2*x^2 + 1/2*x^2") == Poly.monomial(2)
+        assert dsl.parse_poly("x - x + 1/3*y") == Poly.of(0, Fraction(1, 3))
+        expected = Poly2.of(Poly.of(), Poly.of(Fraction(1, 4)))
+        assert dsl.parse_poly2("x*y - 1/2 x y + 1/4*y - 2/4 x y") == expected
+
+    def test_zero_denominator(self):
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_poly("x - 2/0", line=2)
+        assert str(err.value) == "zero denominator in '2/0' at line 2, column 5"
+        assert (err.value.line, err.value.column) == (2, 5)
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("literal", ["7" * 4301 + "/3", "1/" + "3" * 4301, "7" * 4301 + "/0"],
+                             ids=["numerator", "denominator", "numerator-over-zero"])
+    def test_number_too_long(self, literal):
+        # The length is the whole token's, and a too-long numerator is
+        # reported before a zero denominator.
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_poly(f"x + {literal}*y^0", line=2)
+        assert str(err.value) == "number too long (4303 characters) at line 2, column 5"
+        assert (err.value.line, err.value.column) == (2, 5)
+
+    @needs_digit_limit
+    def test_char_base_point_too_long(self):
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_char("char branch=1 at=-" + "7" * 4301, 3)
+        assert str(err.value) == "number too long (4302 characters) at line 3, column 18"
 
 
 class TestBlocks:
@@ -426,3 +510,102 @@ class TestRenderRoundtripProperties:
     def test_char(self, branch, at):
         c = make_character(branch, 0 if branch == "sing" else at)
         assert dsl.parse_char(dsl.render_char(c)) == c
+
+
+# ---------------------------------------------------------------------------
+# Rendering against the earlier Fraction-based renderer.
+
+
+def _fraction_signed_sum(terms) -> str:
+    """The earlier renderer of (Fraction coefficient, monomial) pairs."""
+    parts = []
+    for c, mono in terms:
+        if not c:
+            continue
+        mag = abs(c)
+        body = f"{mag}*{mono}" if mag != 1 and mono else (mono or str(mag))
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts) or "0"
+
+
+def _monomial(var: str, n: int) -> str:
+    return "" if n == 0 else var if n == 1 else f"{var}^{n}"
+
+
+def _fraction_rendered(rows, variables) -> tuple[str, ...]:
+    return tuple(_fraction_signed_sum((c, variables[col].name) for col, c in row.items()) + " = 0"
+                 for row in rows)
+
+
+# Negative, unit, integer and large coefficients.
+wide_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(max_denominator=60),
+    st.builds(Fraction, st.integers(-10**80, 10**80), st.integers(1, 10**80)),
+)
+wide_polys = st.lists(wide_fractions, max_size=8).map(lambda cs: Poly.of(*cs))
+
+
+class TestRenderMatchesFractionReference:
+    """The integer renderer is byte-equal to the earlier Fraction one for
+    every exponent form: '', 'x', 'x^n' and 'x^i*y^j'."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_polys, st.sampled_from("xy"))
+    def test_poly_str(self, p, var):
+        terms = ((c, _monomial(var, n)) for n, c in reversed(tuple(enumerate(p.coeffs))))
+        assert poly_str(p, var) == _fraction_signed_sum(terms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(wide_polys, max_size=4).map(lambda slices: Poly2.of(*slices)))
+    def test_poly2_str(self, F):
+        terms = (
+            (c, "*".join(filter(None, (_monomial("x", i), _monomial("y", j)))))
+            for j, s in enumerate(F.slices)
+            for i, c in enumerate(s.coeffs)
+        )
+        assert poly2_str(F) == _fraction_signed_sum(terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 4), st.data())
+    def test_condition_set_rendered(self, m, k, data):
+        conditions = generate_conditions(SpaceSpec(m), k)
+        stratum = symbol_conditions(m, k)
+        for cs in (conditions, stratum):
+            assert cs.rendered == _fraction_rendered(cs.sparse_rows, cs.variables)
+        columns = st.integers(0, len(conditions.variables) - 1)
+        rows = data.draw(st.lists(st.dictionaries(columns, wide_fractions.filter(bool)), max_size=5))
+        rows = tuple(dict(sorted(row.items())) for row in rows)
+        drawn = ConditionSet(conditions.space, k, conditions.variables, rows)
+        assert drawn.rendered == _fraction_rendered(rows, conditions.variables)
+
+
+def test_parse_and_render_build_no_fraction(monkeypatch):
+    """parse_paired and render_paired of a benchmark-shaped pair (order 4,
+    coefficients of degree 4 with rational entries) run on integers only."""
+    rng = random.Random(11)
+
+    def coefficient():
+        entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
+        return Poly.of(*entries, Fraction(rng.randint(1, 9), rng.randint(1, 6)))
+
+    pair = dsl.ParsedPair(*(BranchOp.of(*(coefficient() for _ in range(5))) for _ in range(2)), 4)
+    made = []
+    original = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    Fraction(1, 2)
+    assert len(made) == 1  # the counter sees every construction
+    made.clear()
+    parsed = dsl.parse_paired(dsl.render_paired(pair))
+    assert made == []
+    monkeypatch.undo()
+    assert parsed == pair

@@ -716,7 +716,7 @@ class TestConditionsMatchElimination:
 
 def _dense_render(row, variables):
     """Dense reference renderer: walk every column, skipping zeros."""
-    return signed_sum((c, v.name) for c, v in zip(row, variables)) + " = 0"
+    return signed_sum((c.numerator, c.denominator, v.name) for c, v in zip(row, variables)) + " = 0"
 
 
 class TestSparseRowsMatchDenseReference:

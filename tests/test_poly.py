@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curveglue.errors import DegreeCapExceeded, ExactDivisionError
-from curveglue.poly import Poly, degree_cap, frac, get_degree_cap
+from curveglue.errors import CurveGlueError, DegreeCapExceeded, ExactDivisionError
+from curveglue.poly import Poly, degree_cap, frac, get_degree_cap, rational_str
 
 X = Poly.monomial(1)
 
@@ -387,3 +387,22 @@ def test_frac_coercion():
     assert frac(2) == 2
     with pytest.raises(TypeError):
         frac(1.5)
+
+
+class TestRationalStr:
+    def test_lowest_terms(self):
+        assert [rational_str(*pair) for pair in ((6, 4), (-6, 3), (0, 5), (7, 1), (-1, 9))] == [
+            "3/2", "-2", "0", "7", "-1/9"
+        ]
+        assert rational_str(12) == "12"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="Python before 3.10.7 has no int-to-str digit limit",
+    )
+    def test_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert rational_str(10 ** (limit - 1), 3) == "1" + "0" * (limit - 1) + "/3"
+        for num, den in ((10 ** limit, 1), (1, 10 ** limit), (-(10 ** limit), 7)):
+            with pytest.raises(CurveGlueError, match=f"more than {limit} digits"):
+                rational_str(num, den)
