@@ -108,12 +108,18 @@ def _cmd_check(args) -> int:
     order = args.order if args.order is not None else pair.declared_order
     depth = None
     if args.probe_depth is not None:
-        depth = args.probe_depth or default_probe_degree(args.space, order)
+        default = default_probe_degree(args.space, order)
+        depth = args.probe_depth or default
         # (D f)^(i)(0), i <= m, reads f up to x^(k+m); a shallower probe misses it.
         if depth < order + args.space.m:
             raise CurveGlueError(
                 f"--probe-depth {depth} is below the minimum {order + args.space.m} "
                 f"(order {order} plus contact order {args.space.m})"
+            )
+        cap = get_degree_cap()  # one bound, given or default; the default may pass the cap
+        if depth > max(cap, default):
+            raise CurveGlueError(
+                f"--probe-depth {depth} exceeds the degree cap {cap} (raise it with --max-degree)"
             )
     report = check_admissible(pair.d1, pair.d2, args.space, order)
     verdict = "admissible" if report.ok else "inadmissible"
@@ -304,13 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_sizes(args) -> None:
-    """The contact order and every order or depth option stay within the
-    degree cap, so no input asks for a system larger than the cap allows."""
+    """The contact order and every order option stay within the degree cap,
+    so no input asks for a system larger than the cap allows."""
     cap = get_degree_cap()
     sizes = {
         "--order": getattr(args, "order", None),
         "--degree": getattr(args, "degree", None),
-        "--probe-depth": getattr(args, "probe_depth", None),
     }
     space = getattr(args, "space", None)
     if space is not None:

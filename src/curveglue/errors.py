@@ -26,9 +26,13 @@ class JetMismatch(CurveGlueError):
     """The two branch functions disagree at some jet coefficient at 0."""
 
     def __init__(self, index, left, right):
-        super().__init__(
-            f"jet coefficient {index} differs between branches: {left} != {right}"
-        )
+        from .poly import rational_str  # poly imports this module
+
+        try:
+            values = " != ".join(rational_str(*v.as_integer_ratio()) for v in (left, right))
+        except CurveGlueError as exc:  # a value too long to print
+            values = str(exc)
+        super().__init__(f"jet coefficient {index} differs between branches: {values}")
         self.index = index
         self.left = left
         self.right = right

@@ -15,10 +15,11 @@ finite linear system:
 * :func:`probe_admissible` is the independent brute-force oracle: it applies
   the operators to a spanning family of glued pairs and compares output jets.
 
-Both oracles run on integers.  The check puts the jet unknowns of both
-branches over one common denominator and evaluates each row with its own
-denominators cross-multiplied; the probe forms only the m-jet of each image,
-term by term, and never a full product, so the degree cap does not bind it.
+Every layer addresses the unknowns by one column layout, :func:`_column`.
+Both oracles run on integers.  The check puts the unknowns over one common
+denominator and evaluates each row with its own denominators cross-multiplied;
+the probe forms only the m-jet of each image by :func:`_apply`, the kernel of
+``apply`` too, and never a full product, so the degree cap does not bind it.
 """
 
 from __future__ import annotations
@@ -76,14 +77,8 @@ class BranchOp(NamedTuple):
         return self + (-other)
 
     def apply(self, p: Poly) -> Poly:
-        result = ZERO
-        deriv = p
-        for i, a in enumerate(self.coeffs):
-            if i:
-                deriv = deriv.derive()
-            if not a.is_zero:
-                result = result + a * deriv
-        return result
+        a, den = _nums(self)
+        return _poly(_apply(a, p), den * p.den)
 
     def __str__(self) -> str:
         from .dsl import render_op
@@ -95,6 +90,28 @@ def _nums(op: BranchOp) -> tuple[list[list[int]], int]:
     """The numerators of op's coefficients over one common denominator."""
     den = math.lcm(*(a.den for a in op.coeffs))
     return [[c * (den // a.den) for c in a.nums] for a in op.coeffs], den
+
+
+def _apply(a: list[list[int]], f: Poly, top: int | None = None) -> list[int]:
+    """D f for D given by integer numerator arrays ``a`` over a denominator e:
+    its numerators over e * f.den, all or up to x^top, where a term c x^n of f
+    adds c n!/(n-i)! a_i[t-n+i] at x^t.  Whole, it raises DegreeCapExceeded as
+    the walk over a_i f^(i) would, for the first nonzero product past the cap."""
+    nums = f.nums
+    if top is None:
+        cap, top = get_degree_cap(), -1
+        for degree in (len(ai) + len(nums) - i - 2 for i, ai in enumerate(a[:len(nums)]) if ai):
+            if degree > cap:
+                raise DegreeCapExceeded(degree, cap)
+            top = max(top, degree)
+    out = [0] * (top + 1)
+    for n, c in enumerate(nums[:top + len(a)]):
+        if c:
+            for i in range(max(0, n - top), min(n + 1, len(a))):
+                scale, low = c * math.perm(n, i), n - i
+                for t, x in enumerate(a[i][:top + 1 - low], low):
+                    out[t] += scale * x
+    return out
 
 
 def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[int]]:
@@ -201,16 +218,17 @@ class JetVar(NamedTuple):
         return _prime_name(f"{self.branch}{self.s}", self.r)
 
 
+def _column(s: int, r: int, m: int, k: int) -> int:
+    """The column of b_s^(r)(0) in the order-k system on K_m; a_s^(r)(0) has
+    the next.  Higher s first, then higher r, so reduced rows read like
+    hand-written tables (e.g. "a2'(0) + a1(0) = 0", "b0(0) - a0(0) = 0")."""
+    return 2 * ((k - s) * (m + 1) + m - r)
+
+
 def _variables(m: int, k: int) -> tuple[JetVar, ...]:
-    # Pivot priority: higher coefficient index first, higher derivative
-    # first, branch b before a - so reduced rows read like hand-written
-    # tables (e.g. "a2'(0) + a1(0) = 0", "b0(0) - a0(0) = 0").
-    out = []
-    for s in range(k, -1, -1):
-        for r in range(m, -1, -1):
-            out.append(JetVar("b", s, r))
-            out.append(JetVar("a", s, r))
-    return tuple(out)
+    """The inverse of :func:`_column`: the unknown of each column."""
+    return tuple([tuple.__new__(JetVar, (branch, s, r))
+                  for s in range(k, -1, -1) for r in range(m, -1, -1) for branch in "ba"])
 
 
 def render_linear(row: dict[int, Fraction], variables) -> str:
@@ -282,17 +300,20 @@ class ConditionSet(NamedTuple):
 
 
 def _jet_values(pairs, m: int) -> tuple[list[int], int]:
-    """The unknowns b^(r)(0), a^(r)(0) of each coefficient pair (a, b), for
-    r = m..0 - the column order of both condition systems - as the integers
-    r! * nums[r] over one common denominator of every coefficient."""
+    """The jets of ``pairs[s] = (a_s, b_s)``, s <= k = len(pairs) - 1, each at
+    its column of the order-k system (a lone pair at the stratum's), as the
+    integers r! * nums[r] over one common denominator of every coefficient."""
     den = math.lcm(*(p.den for pair in pairs for p in pair))
+    k = len(pairs) - 1
     facts = [math.factorial(r) for r in range(m + 1)]
-    out = []
-    for a, b in pairs:
-        sa, sb = den // a.den, den // b.den
-        for r in range(m, -1, -1):
-            out.append(facts[r] * sb * b.nums[r] if r < len(b.nums) else 0)
-            out.append(facts[r] * sa * a.nums[r] if r < len(a.nums) else 0)
+    step = _column(0, 1, m, 0) - _column(0, 0, m, 0)  # from r to r + 1
+    out = [0] * (_column(0, 0, m, k) + 2)
+    for s, pair in enumerate(pairs):
+        col = _column(s, 0, m, k)
+        for branch, p in enumerate(reversed(pair)):  # b_s^(r)(0), then a_s^(r)(0)
+            scale = den // p.den
+            for r, x in enumerate(p.nums[:m + 1]):
+                out[col + r * step + branch] = facts[r] * scale * x
     return out, den
 
 
@@ -351,7 +372,7 @@ def _generate(m: int, k: int) -> ConditionSet:
         i0, top = max(0, m + 1 - w), min(m, k - w)
         h = m + 1 - i0
         f = top - h
-        col = [2 * ((k - w - r) * (m + 1) + m - r) + 1 for r in range(top + 1)]  # u_r's column
+        col = [_column(w + r, r, m, k) + 1 for r in range(top + 1)]  # u_r's column
         if f < 0:
             pivots.update((c, {c: one}) for c in col)
             continue
@@ -408,39 +429,22 @@ def check_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int) -> Ad
     conditions = generate_conditions(space, k)
     if d1.order > k or d2.order > k:
         raise OrderError(f"branch orders exceed the declared order {k}")
-    values, den = _jet_values([(d1.coeff(s), d2.coeff(s)) for s in range(k, -1, -1)], space.m)
+    values, den = _jet_values([(d1.coeff(s), d2.coeff(s)) for s in range(k + 1)], space.m)
     return AdmissibilityReport(space, k, conditions.violations(values, den))
-
-
-def _apply_jet(a: list[list[int]], f: Poly, m: int) -> list[int]:
-    """The m-jet of D f, for D given by integer numerator arrays ``a`` over
-    some denominator e: its m + 1 numerators over e * f.den.  A term c x^n of
-    f adds c n!/(n-i)! a_i[t-n+i] at x^t, so only terms up to x^m are formed
-    and only f's terms up to x^(m + order) are read."""
-    out = [0] * (m + 1)
-    for n, c in enumerate(f.nums[:m + len(a)]):
-        if c:
-            for i in range(max(0, n - m), min(n + 1, len(a))):
-                scale, low = c * math.perm(n, i), n - i
-                for t, x in enumerate(a[i][:m + 1 - low], low):
-                    out[t] += scale * x
-    return out
 
 
 def probe_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, probe_degree: int) -> bool:
     """Brute-force oracle: apply both operators to the spanning family and
-    compare output m-jets at 0.  Independent of the generated conditions.
-
-    Only the m-jets are formed (:func:`_apply_jet`), in integers, so no
-    product meets the degree cap."""
+    compare output m-jets at 0, formed alone by :func:`_apply`, so no product
+    meets the degree cap.  Independent of the generated conditions."""
     m = space.m
     (a, da), (b, db) = _nums(d1), _nums(d2)
     jets_a, jets_b = {}, {}  # x^n recurs in a diagonal and a branch member
     for f, g in spanning_family(space, max_diag=probe_degree, max_branch=probe_degree):
         if f not in jets_a:
-            jets_a[f] = _apply_jet(a, f, m)
+            jets_a[f] = _apply(a, f, m)
         if g not in jets_b:
-            jets_b[g] = _apply_jet(b, g, m)
+            jets_b[g] = _apply(b, g, m)
         left, right = db * g.den, da * f.den  # cross-multiplied denominators
         if [x * left for x in jets_a[f]] != [y * right for y in jets_b[g]]:
             return False

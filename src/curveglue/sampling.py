@@ -13,29 +13,29 @@ import random
 from fractions import Fraction
 
 from .glued import SpaceSpec, random_fraction, with_random_tail
-from .operators import BranchOp, ConditionSet, JetVar, PairedOp, generate_conditions
+from .operators import BranchOp, ConditionSet, PairedOp, _column, generate_conditions
 from .poly import Poly
-from .symbols import SymbolElem, SymbolVar, symbol_conditions
+from .symbols import SymbolElem, symbol_conditions
 
 
-def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> dict:
-    """A random point of the solution space of the reduced system."""
-    variables = conditions.variables
+def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> list:
+    """A random point of the solution space of the reduced system, by column."""
     pivots = {min(row): row for row in conditions.sparse_rows}
-    values = [None] * len(variables)
-    for i in range(len(variables)):
-        if i not in pivots:
-            values[i] = random_fraction(rng)
+    values = [None if i in pivots else random_fraction(rng) for i in range(len(conditions.variables))]
     for lead, row in pivots.items():
         values[lead] = -sum((c * values[j] for j, c in row.items() if j != lead), Fraction(0))
-    return dict(zip(variables, values))
+    return values
 
 
-def _poly_with_jet(jets: list[Fraction], rng: random.Random, max_degree: int) -> Poly:
-    """Polynomial with prescribed derivatives at 0 plus a random tail."""
-    m = len(jets) - 1
-    head = Poly.of(*(jets[r] / math.factorial(r) for r in range(m + 1)))
-    return with_random_tail(head, m, rng, max_degree)
+def _coefficient_pair(values, s: int, m: int, k: int, rng: random.Random, max_degree: int):
+    """The coefficients (a_s, b_s) whose m-jets are the unknowns at their
+    columns of the order-k layout, a drawn before b, each with a random tail
+    (degree at most max(max_degree, m + 1))."""
+    pair = []
+    for branch in (1, 0):  # a_s^(r)(0) follows b_s^(r)(0)
+        head = Poly.of(*(values[_column(s, r, m, k) + branch] / math.factorial(r) for r in range(m + 1)))
+        pair.append(with_random_tail(head, m, rng, max_degree))
+    return pair
 
 
 def random_admissible_pair(
@@ -44,21 +44,15 @@ def random_admissible_pair(
     """Random admissible pair of nominal order k with coefficient degrees up
     to max(max_degree, m + 1): every coefficient gets a tail from x**(m+1)."""
     values = solve_homogeneous(generate_conditions(space, k), rng)
-    coeffs = {"a": [], "b": []}
-    for s in range(k + 1):
-        for branch in "ab":
-            jets = [values[JetVar(branch, s, r)] for r in range(space.m + 1)]
-            coeffs[branch].append(_poly_with_jet(jets, rng, max_degree))
-    return PairedOp(BranchOp.of(*coeffs["a"]), BranchOp.of(*coeffs["b"]), space, k)
+    a, b = zip(*(_coefficient_pair(values, s, space.m, k, rng, max_degree) for s in range(k + 1)))
+    return PairedOp(BranchOp.of(*a), BranchOp.of(*b), space, k)
 
 
 def random_symbol(
     space: SpaceSpec, degree: int, rng: random.Random, max_degree: int = 4
 ) -> SymbolElem:
-    """Random valid symbol of the given degree; a and b have degree at most
-    max(max_degree, m + 1), as each gets a tail from x**(m+1)."""
+    """Random valid symbol of the given degree: the top pair s = k of the
+    order-k layout, whose columns the degree stratum uses."""
     values = solve_homogeneous(symbol_conditions(space.m, degree), rng)
-    m = space.m
-    a = _poly_with_jet([values[SymbolVar("a", r)] for r in range(m + 1)], rng, max_degree)
-    b = _poly_with_jet([values[SymbolVar("b", r)] for r in range(m + 1)], rng, max_degree)
+    a, b = _coefficient_pair(values, degree, space.m, degree, rng, max_degree)
     return SymbolElem(degree, a, b, space)

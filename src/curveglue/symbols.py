@@ -24,6 +24,7 @@ from .operators import (
     BranchOp,
     ConditionSet,
     PairedOp,
+    _column,
     _jet_values,
     _prime_name,
     pair_commutator,
@@ -50,12 +51,12 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     min(m + 1, w) branch rows at least its r + 1 unknowns: when 2r < k."""
     if degree < 0:
         raise OrderError("operator order must be nonnegative")
-    one, rows = Fraction(1), []
-    for r in range(m, -1, -1):
-        b = 2 * (m - r)  # the column of b^(r); a^(r) follows it
+    one, rows, variables = Fraction(1), [], []
+    for r in range(m, -1, -1):  # the columns in increasing order
+        b = _column(degree, r, m, degree)  # the column of b^(r); a^(r) follows it
         rows += [{b: one}, {b + 1: one}] if 2 * r < degree else [{b: one, b + 1: -one}]
-    variables = tuple(SymbolVar(branch, r) for r in range(m, -1, -1) for branch in "ba")
-    return ConditionSet(SpaceSpec(m), degree, variables, tuple(rows))
+        variables += [SymbolVar("b", r), SymbolVar("a", r)]
+    return ConditionSet(SpaceSpec(m), degree, tuple(variables), tuple(rows))
 
 
 class SymbolElem(NamedTuple):

@@ -349,6 +349,21 @@ class TestPrintingLimit:
             "the limit of Python's integer-to-text conversion\n"
         )
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_jet_mismatch_past_the_limit(self, capsys, monkeypatch, flags):
+        # f(0) has a 6000-digit denominator and g(0) = 0: the mismatch names
+        # the limit instead of the values.
+        text = f"pair m=0: 1/{'7' * 3000} + 1/{'3' * 2999}1 | 0\n"
+        status, captured = run_stdin(capsys, monkeypatch, text, "extend", "-", *flags)
+        assert status == 2
+        assert captured.out == ""
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (
+            "error: not a glued pair: jet coefficient 0 differs between branches: "
+            f"a number in the result has more than {limit} digits, "
+            "the limit of Python's integer-to-text conversion at line 1\n"
+        )
+
 
 class TestDegreeCapOption:
     def test_cap_is_scoped_to_one_call(self, capsys):
@@ -411,10 +426,11 @@ class TestProbeDepth:
         payload = json.loads(run(capsys, *argv, *option)[1].out)
         assert payload["probe"]["depth"] == default_probe_degree(SpaceSpec(1), 1)
 
-    @pytest.mark.parametrize("option,depth", [([], 34), (["32"], 32)])
+    @pytest.mark.parametrize("option,depth", [([], 34), (["32"], 32), (["34"], 34)])
     def test_probe_never_meets_the_degree_cap(self, tmp_path, capsys, option, depth):
         # Coefficients of degree 17 times x^(k + m + 2) would be of degree 51;
-        # the probe forms only m-jets, so it runs under the default cap.
+        # the probe forms only m-jets, so it runs under the default cap.  The
+        # default depth passes the cap, and so may the same depth given.
         path = tmp_path / "pair.txt"
         path.write_text(str(random_admissible_pair(SpaceSpec(16), 16, random.Random(3))) + "\n")
         assert get_degree_cap() == 32

@@ -1,5 +1,6 @@
 """Branch operators, delta chains, condition generation and admissibility."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -37,9 +38,9 @@ from curveglue.operators import (
     verify_order,
 )
 from curveglue import operators
-from curveglue.operators import _apply_jet, _generate, _leibniz, _nums, _variables
+from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _nums, _variables
 from curveglue.poly import ZERO, Poly, _poly, degree_cap, get_degree_cap, signed_sum
-from curveglue.sampling import random_admissible_pair
+from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.symbols import SymbolVar, symbol_conditions
 
 X = Poly.monomial(1)
@@ -62,6 +63,20 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 branch_ops = st.lists(
     st.lists(small_fractions, max_size=4).map(lambda cs: Poly.of(*cs)), max_size=4
 ).map(lambda coeffs: BranchOp.of(*coeffs))
+
+
+def _apply_reference(op, p):
+    """D p as a walk over a_i p^(i) on Polys: the oracle for the integer
+    apply kernel, product for product, so a degree cap error names the
+    first i ascending with a_i and p^(i) nonzero whose product passes it."""
+    result = ZERO
+    deriv = p
+    for i, a in enumerate(op.coeffs):
+        if i:
+            deriv = deriv.derive()
+        if not a.is_zero:
+            result = result + a * deriv
+    return result
 
 
 def _two_compositions(op_a, op_b):
@@ -313,12 +328,13 @@ class TestDeltaChainKernel:
     @example(BranchOp.of(ZERO, Poly.of(-1), X), D, X2, 40)  # [x d^2 - d, x^2] = 4x^2 d
     def test_matches_poly_reference(self, a, b, p, cap):
         # Results and degree cap errors, product for product, of compose,
-        # commutator and one delta step against the Poly walk.
+        # commutator, one delta step and apply against the Poly walks.
         with degree_cap(cap):
             for function, reference, args in (
                 (compose, _compose_reference, (a, b)),
                 (commutator, _commutator_reference, (a, b)),
                 (lambda op, p: commutator(op, BranchOp.of(p)), _delta_reduce_reference, (a, p)),
+                (BranchOp.apply, _apply_reference, (a, p)),
             ):
                 assert _outcome(function, *args) == _outcome(reference, *args), function
 
@@ -599,6 +615,40 @@ class TestWeightBlocks:
                         column = 2 * ((k - s) * (m + 1) + (m - r)) + 1
                         assert column == variables.index(JetVar("a", s, r)), (m, k, s, r)
 
+    def test_column_layout(self):
+        # _variables inverts _column, b_s^(r)(0) first and a_s^(r)(0) next,
+        # over every column; the degree stratum has the columns s = k.
+        for m in range(9):
+            for k in range(9):
+                variables = _variables(m, k)
+                columns = {
+                    _column(s, r, m, k) + b: JetVar("ba"[b], s, r)
+                    for s in range(k + 1) for r in range(m + 1) for b in (0, 1)
+                }
+                assert sorted(columns) == list(range(len(variables))), (m, k)
+                for column, var in columns.items():
+                    assert variables[column] == var, (m, k, column)
+                stratum = symbol_conditions(m, k).variables
+                assert len(stratum) == 2 * (m + 1), (m, k)
+                for r in range(m + 1):
+                    for b in (0, 1):
+                        assert stratum[_column(k, r, m, k) + b] == SymbolVar("ba"[b], r), (m, k, r)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 5), st.lists(st.tuples(delta_polys, delta_polys), min_size=1, max_size=5))
+    def test_jet_values_at_their_columns(self, m, pairs):
+        # Each unknown r! * p_r sits at its column, over the one denominator.
+        values, den = _jet_values(pairs, m)
+        k = len(pairs) - 1
+        assert len(values) == len(_variables(m, k))
+        expected = [None] * len(values)
+        for s, (a, b) in enumerate(pairs):
+            for r in range(m + 1):
+                for branch, p in ((0, b), (1, a)):
+                    expected[_column(s, r, m, k) + branch] = math.factorial(r) * p.coeff(r)
+        assert all(type(x) is int for x in values)
+        assert [Fraction(x, den) for x in values] == expected
+
     def test_symbol_stratum_reads_the_full_rank_kind(self):
         # The symbol stratum cuts out a_k^(r)(0) alone exactly when 2r < k;
         # that is the full-rank kind of the block w = k - r it lies in.
@@ -803,14 +853,17 @@ class TestProbe:
         small_fractions,
     )
     def test_jet_matches_apply(self, m, op, c):
-        # apply is the oracle: the whole product, cut to the m-jet at the end.
+        # The Poly walk is the oracle: the whole product, cut to the m-jet at
+        # the end; the truncated kernel keeps its trailing zeros.
         a, den = _nums(op)
         space = SpaceSpec(m)
         depth = default_probe_degree(space, max(op.order, 0))
         with degree_cap(128):
             for f, g in spanning_family(space, depth, depth):
                 for p in (f, g, f * c):
-                    assert _poly(_apply_jet(a, p, m), den * p.den) == op.apply(p).jet(m)
+                    jet = _apply(a, p, m)
+                    assert len(jet) == m + 1
+                    assert _poly(jet, den * p.den) == _apply_reference(op, p).jet(m)
 
     def test_never_reads_the_conditions(self, monkeypatch):
         rng = random.Random(107)
@@ -842,6 +895,20 @@ class TestProbe:
             generated = check_admissible(d1, d2, space, k).ok
             probed = probe_admissible(d1, d2, space, default_probe_degree(space, k))
             assert generated == probed
+
+
+class TestSampling:
+    def test_draws_are_pinned(self):
+        # Both samplers read the jets by column and draw a before b, s
+        # ascending: every sampled value is pinned by one digest.
+        digest = hashlib.sha256()
+        with degree_cap(200):
+            for m in range(6):
+                for k in range(7):
+                    rng = random.Random(f"{m},{k}")
+                    digest.update(repr(random_admissible_pair(SpaceSpec(m), k, rng)).encode())
+                    digest.update(repr(random_symbol(SpaceSpec(m), k, rng)).encode())
+        assert digest.hexdigest() == "efb6938f0ddee9699a95327867343e80168f92a9486eb2b756a2e2cc553a59fe"
 
 
 class TestPairs:
