@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, ClosureBugError, DegreeCapExceeded, OrderError
@@ -114,6 +114,14 @@ def _apply(a: list[list[int]], f: Poly, top: int | None = None) -> list[int]:
     return out
 
 
+def _pack(digits, width: int) -> int:
+    """sum_t digits[t] 2^(width t): digits of either sign packed into one int."""
+    x = 0
+    for c in reversed(digits):
+        x = (x << width) + c
+    return x
+
+
 def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[int]]:
     """The terms r >= first of a_i d^i (b_j d^j .) = sum_r C(i,r) a_i b_j^(r) d^(i-r+j).
 
@@ -122,34 +130,42 @@ def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[in
     result is over their product.  Arrays, and the lists of them, carry no
     trailing zero, so lengths are true degrees plus one.
 
-    Each b_j's nonzero derivatives up to the order of a are taken once.
-    :class:`DegreeCapExceeded` is raised for the first product above the cap
-    in the order i, j, r ascending."""
-    cap = get_degree_cap()
-    chains = []
-    for bj in b:
-        chain = [bj] if bj else []
-        while chain and len(chain) < len(a) and (bj := [c * t for t, c in enumerate(bj) if t]):
-            chain.append(bj)
-        chains.append(chain)
-    out: list[list[int]] = [[] for _ in range(len(a) + len(b) - 1 - first)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, chain in enumerate(chains):
-            for r in range(first, min(i + 1, len(chain))):
-                br = chain[r]
-                degree = len(br) + len(ai) - 2
-                if degree > cap:
-                    raise DegreeCapExceeded(degree, cap)
-                scale = math.comb(i, r)
-                target = out[i - r + j]
-                target.extend([0] * (degree + 1 - len(target)))
-                for s, c in enumerate(br):
-                    if c:
-                        c *= scale
-                        for t, x in enumerate(ai, s):
-                            target[t] += c * x
+    In symbols, sigma(A o B) = sum_r (1/r!) d_xi^r sigma_A d_x^r sigma_B, that
+    is sum_r A_r B_r with A_r = sum_i C(i,r) a_i xi^(i-r), B_r = sum_j b_j^(r) xi^j,
+    each packed into one int by Kronecker substitution, x -> 2^w and
+    xi -> 2^(w nx), so one big-int multiply per r.  With la, lb the longest
+    lengths in a and b, a product a_i b_j^(r) has at most nx = la + lb - 1 - first
+    coefficients.  One of A_r B_r sums at most min(len(a) - r, len(b)) min(la, lb - r)
+    products C(i,r) a_i[u] b_j^(r)[s], each at most C(len(a)-1, r) perm(lb-1, r)
+    |a| |b| in absolute value, |a| and |b| the largest entries.  Summed over r
+    that bound is below 2^(w-1), so adding 2^(w-1) to every digit of the total
+    puts each in [0, 2^w), where one shift and mask reads it exactly.
+
+    For each (i, j) the product r = first has the highest degree, so
+    :class:`DegreeCapExceeded` for the first product above the cap in the
+    order i, j, r ascending is found from the lengths alone."""
+    cap, la, lb = get_degree_cap(), max(map(len, a), default=0), max(map(len, b), default=0)
+    if la + lb - 2 - first > cap:  # some product may pass the cap
+        for degree in (len(ai) + len(bj) - 2 - first for ai in a[first:] if ai for bj in b if len(bj) > first):
+            if degree > cap:
+                raise DegreeCapExceeded(degree, cap)
+    rs = range(first, min(len(a), lb))  # every r with a product
+    if not rs:
+        return []
+    big = max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
+    w = (big * sum(min(len(a) - r, len(b)) * min(la, lb - r) * math.comb(len(a) - 1, r)
+                   * math.perm(lb - 1, r) for r in rs)).bit_length() + 1
+    step, slots = w * (la + lb - 1 - first), len(a) + len(b) - 1 - first  # xi -> 2^step
+    packed, total = [_pack(ai, w) for ai in a], 0
+    for r in range(rs.stop):
+        deriv = [[c * t for t, c in enumerate(bj) if t] for bj in deriv] if r else b
+        if r >= first:
+            a_r = _pack([math.comb(i, r) * packed[i] for i in range(r, len(a))], step)
+            total += a_r * _pack([_pack(bj, w) for bj in deriv], step)
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    total += half * ((1 << step * slots) - 1) // mask  # 2^(w-1) at every digit
+    out = [[(x >> s & mask) - half for s in range(0, step, w)]
+           for x in [total >> s & ((1 << step) - 1) for s in range(0, step * slots, step)]]
     for target in out:
         while target and not target[-1]:
             target.pop()
@@ -182,17 +198,20 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     exactly when every (k+1)-fold commutator with multiplications by members
     of S vanishes (EGA IV 16.8; McConnell and Robson, ch. 15).  Once
     probe_degree >= 1 that set holds x, which generates Q[x], so the one
-    chain ad(x)^(k+1) decides: k + 1 :func:`_leibniz` steps by x on the
-    integer numerators.  With probe_degree < 1 there is no chain, so any
-    k >= 0 passes; with k < 0 no step runs and only the zero operator passes.
-    A step by x, [a d^i, x] = i a d^(i-1), keeps coefficient degrees, so
-    :class:`DegreeCapExceeded` is raised only when some a_i with i >= 1 is
-    already above the cap."""
+    chain ad(x)^(k+1) decides: k + 1 steps by x on the integer numerators,
+    each in closed form, [a_i d^i, x] = i a_i d^(i-1).  With probe_degree < 1
+    there is no chain, so any k >= 0 passes; with k < 0 no step runs and only
+    the zero operator passes.  A step keeps coefficient degrees, so
+    :class:`DegreeCapExceeded` is raised, for the first i >= 1 ascending, only
+    when k >= 0 and some a_i with i >= 1 is already above the cap."""
     if k >= 0 and probe_degree < 1:
         return True
-    reduced = _nums(op)[0]
+    reduced, cap = _nums(op)[0], get_degree_cap()
+    for degree in (len(ai) - 1 for ai in reduced[1:] if k >= 0):
+        if degree > cap:
+            raise DegreeCapExceeded(degree, cap)
     for _ in range(k + 1):
-        reduced = _leibniz(reduced, [[0, 1]], 1)
+        reduced = [[i * c for c in ai] for i, ai in enumerate(reduced)][1:]
     return not reduced
 
 

@@ -39,7 +39,8 @@ from curveglue.operators import (
 )
 from curveglue import operators
 from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _nums, _variables
-from curveglue.poly import ZERO, Poly, _poly, degree_cap, get_degree_cap, signed_sum
+from curveglue.dsl import render_paired
+from curveglue.poly import ZERO, Poly, _poly, _trim, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.symbols import SymbolVar, symbol_conditions
 
@@ -77,6 +78,47 @@ def _apply_reference(op, p):
         if not a.is_zero:
             result = result + a * deriv
     return result
+
+
+def _leibniz_reference(a, b, first):
+    """The terms r >= first of a_i d^i (b_j d^j .) = sum_r C(i,r) a_i b_j^(r) d^(i-r+j)
+    on integer numerator arrays, as a triple loop over (i, j, r) with each
+    product a_i b_j^(r) formed term by term: the oracle for the packed
+    kernel, product for product, so a degree cap error names the first
+    product above the cap in the order i, j, r ascending.
+
+    Each b_j's nonzero derivatives up to the order of a are taken once."""
+    cap = get_degree_cap()
+    chains = []
+    for bj in b:
+        chain = [bj] if bj else []
+        while chain and len(chain) < len(a) and (bj := [c * t for t, c in enumerate(bj) if t]):
+            chain.append(bj)
+        chains.append(chain)
+    out = [[] for _ in range(len(a) + len(b) - 1 - first)]
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, chain in enumerate(chains):
+            for r in range(first, min(i + 1, len(chain))):
+                br = chain[r]
+                degree = len(br) + len(ai) - 2
+                if degree > cap:
+                    raise DegreeCapExceeded(degree, cap)
+                scale = math.comb(i, r)
+                target = out[i - r + j]
+                target.extend([0] * (degree + 1 - len(target)))
+                for s, c in enumerate(br):
+                    if c:
+                        c *= scale
+                        for t, x in enumerate(ai, s):
+                            target[t] += c * x
+    for target in out:
+        while target and not target[-1]:
+            target.pop()
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _two_compositions(op_a, op_b):
@@ -362,6 +404,55 @@ class TestDeltaChainKernel:
         top = max((a.degree for a in op.coeffs), default=0)
         with degree_cap(data.draw(st.integers(max(top, 1), 40), label="cap")):
             assert verify_order(op, k, probe_degree) == (op.order <= k)
+
+
+# Entries of every height the width bound must cover: up to 10^60; full
+# heights 2^b - 1 with alternating signs, so products meet no cancellation;
+# and sparse arrays of units among zeros, all with lengths up to 9.  An
+# operator repeating one array adds up as many equal products as it can.
+# Operators are trimmed as the kernel takes them: no trailing zero in an
+# array, no trailing empty array in the list.
+numerator_arrays = st.one_of(
+    st.lists(st.integers(-10**60, 10**60), max_size=9),
+    st.builds(
+        lambda n, b, sign: [sign * (-1) ** t * (2**b - 1) for t in range(n)],
+        st.integers(0, 9), st.integers(1, 200), st.sampled_from((1, -1)),
+    ),
+    st.lists(st.sampled_from((0, 0, 0, 1, -1)), max_size=9),
+)
+numerator_ops = st.one_of(
+    st.lists(numerator_arrays, max_size=9),
+    st.builds(lambda array, n: [array] * n, numerator_arrays, st.integers(0, 9)),
+).map(lambda arrays: list(_trim([list(_trim(x)) for x in arrays])))
+
+
+class TestLeibnizKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(numerator_ops, numerator_ops, st.sampled_from((0, 1)), st.integers(4, 40))
+    @example([[1] * 9] * 9, [[-1, 1] * 4 + [-1]] * 9, 0, 40)
+    @example([[], [0, 0, 0, 5]], [[0, 0, 0, 7]], 1, 4)  # r = 0 is not formed: (5, 4) from r = 1
+    def test_matches_triple_loop(self, a, b, first, cap):
+        # Results and degree cap errors of the packed kernel against the
+        # triple loop over (i, j, r).
+        with degree_cap(cap):
+            assert _outcome(_leibniz, a, b, first) == _outcome(_leibniz_reference, a, b, first)
+
+    @pytest.mark.parametrize(
+        "combine,digest",
+        [
+            (pair_compose, "7415beacdd2699c9936fd0ef400f8f4e8ecde1f526723c3395badf2164aa7067"),
+            (pair_commutator, "0672e3b64021fb85919c2d440c7e878059ee295ac8c302a71d782d3752f8207d"),
+        ],
+        ids=["compose", "commutator"],
+    )
+    def test_K16_products_are_pinned(self, combine, digest):
+        # Digests, recorded with the triple-loop kernel, of the products of two
+        # sampled order-16 pairs on K16: scale-sized outputs, too large for a
+        # golden file.
+        with degree_cap(72):
+            p, q = (random_admissible_pair(SpaceSpec(16), 16, random.Random(seed)) for seed in (1, 2))
+            rendered = render_paired(combine(p, q))
+        assert hashlib.sha256(rendered.encode()).hexdigest() == digest
 
 
 def rref(rows):
@@ -975,6 +1066,20 @@ class TestPairs:
                 b = random_admissible_pair(space, rng.randint(0, 3), rng, max_degree=3)
                 pair_compose(a, b)  # raises ClosureBugError on failure
                 pair_commutator(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32))
+    @example(12, 8, 8, 0)
+    def test_closure_at_scale(self, m, k, l, seed):
+        # Products pass both oracles.  The probe reads no generated row, so it
+        # checks the packed kernel, and the closed forms at order k + l,
+        # independently of the check.
+        space, rng = SpaceSpec(m), random.Random(seed)
+        a, b = random_admissible_pair(space, k, rng), random_admissible_pair(space, l, rng)
+        for product in (pair_compose(a, b), pair_commutator(a, b)):
+            depth = default_probe_degree(space, product.order)
+            assert check_admissible(product.d1, product.d2, space, product.order).ok
+            assert probe_admissible(product.d1, product.d2, space, depth)
 
     @pytest.mark.parametrize(
         "combine,what,orders,order",
