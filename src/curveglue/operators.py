@@ -16,10 +16,11 @@ finite linear system:
   the operators to a spanning family of glued pairs and compares output jets.
 
 Every layer addresses the unknowns by one column layout, :func:`_column`.
-Both oracles run on integers.  The check puts the unknowns over one common
-denominator and evaluates each row with its own denominators cross-multiplied;
-the probe forms only the m-jet of each image by :func:`_apply`, the kernel of
-``apply`` too, and never a full product, so the degree cap does not bind it.
+Both oracles run on integers.  The rows are primitive integer equations, and
+the check puts the unknowns over one common denominator, so each row is one
+integer dot product; the probe forms only the m-jet of each image by
+:func:`_apply`, the kernel of ``apply`` too, and never a full product, so the
+degree cap does not bind it.
 """
 
 from __future__ import annotations
@@ -198,21 +199,20 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     exactly when every (k+1)-fold commutator with multiplications by members
     of S vanishes (EGA IV 16.8; McConnell and Robson, ch. 15).  Once
     probe_degree >= 1 that set holds x, which generates Q[x], so the one
-    chain ad(x)^(k+1) decides: k + 1 steps by x on the integer numerators,
-    each in closed form, [a_i d^i, x] = i a_i d^(i-1).  With probe_degree < 1
-    there is no chain, so any k >= 0 passes; with k < 0 no step runs and only
-    the zero operator passes.  A step keeps coefficient degrees, so
-    :class:`DegreeCapExceeded` is raised, for the first i >= 1 ascending, only
-    when k >= 0 and some a_i with i >= 1 is already above the cap."""
+    chain ad(x)^(k+1) decides.  Its k + 1 steps, [a_i d^i, x] = i a_i d^(i-1),
+    scale a_i by i(i-1)...(i-k), zero exactly when i <= k, so the chain
+    vanishes exactly when ``op.coeffs`` has at most k + 1 entries.  With
+    probe_degree < 1 there is no chain, so any k >= 0 passes.  A step keeps
+    coefficient degrees, so :class:`DegreeCapExceeded` is raised, for the
+    first i >= 1 ascending, only when k >= 0 and some a_i with i >= 1 is
+    already above the cap."""
     if k >= 0 and probe_degree < 1:
         return True
-    reduced, cap = _nums(op)[0], get_degree_cap()
-    for degree in (len(ai) - 1 for ai in reduced[1:] if k >= 0):
+    cap = get_degree_cap()
+    for degree in (len(a.nums) - 1 for a in op.coeffs[1:] if k >= 0):
         if degree > cap:
             raise DegreeCapExceeded(degree, cap)
-    for _ in range(k + 1):
-        reduced = [[i * c for c in ai] for i, ai in enumerate(reduced)][1:]
-    return not reduced
+    return len(op.coeffs) <= k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +250,11 @@ def _variables(m: int, k: int) -> tuple[JetVar, ...]:
                   for s in range(k, -1, -1) for r in range(m, -1, -1) for branch in "ba"])
 
 
-def render_linear(row: dict[int, Fraction], variables) -> str:
-    """Render a sparse constraint row, columns in increasing order, as '... = 0'."""
-    terms = ((c.numerator, c.denominator, variables[col].name) for col, c in row.items())
-    return signed_sum(terms) + " = 0"
+def render_linear(row: dict[int, int], variables) -> str:
+    """Render a sparse constraint row, columns in increasing order, as '... = 0',
+    each entry divided by the first, the pivot (an empty row is '0 = 0')."""
+    pivot = next(iter(row.values()), 1)
+    return signed_sum((c, pivot, variables[col].name) for col, c in row.items()) + " = 0"
 
 
 class Violation(NamedTuple):
@@ -267,29 +268,30 @@ class ConditionSet(NamedTuple):
     """Reduced linear system on the coefficient jets at 0 that is equivalent
     to admissibility at order k on the given space.
 
-    ``sparse_rows`` are its pivot rows in reduced row-echelon form:
-    ``{column: Fraction}`` dicts over ``variables`` holding only nonzero
-    entries, the pivot, equal to 1, first and the columns increasing, the rows
-    in order of pivot column.  Readers rely on this order and do not sort
-    again.  :func:`_generate` builds them weight block by weight block, so a
-    row's unknowns all share one weight s - r.  They are the only stored form
-    and are shared through the condition caches, so callers must not mutate
-    them."""
+    ``sparse_rows`` are its pivot rows as primitive integer equations:
+    ``{column: int}`` dicts over ``variables`` holding only nonzero entries
+    with no common factor, the pivot, positive, first and the columns
+    increasing, the rows in order of pivot column.  Divided by its pivot, a
+    row is a row of the reduced row-echelon form.  Readers rely on this order
+    and do not sort again.  :func:`_generate` builds them weight block by
+    weight block, so a row's unknowns all share one weight s - r.  They are
+    the only stored form and are shared through the condition caches, so
+    callers must not mutate them."""
 
     space: SpaceSpec
     order: int
     variables: tuple[JetVar, ...]
-    sparse_rows: tuple[dict[int, Fraction], ...]
+    sparse_rows: tuple[dict[int, int], ...]
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The same rows as dense tuples, built anew on each call."""
+        """The same rows as dense tuples, reduced (pivot 1), built anew on each call."""
         zero = (Fraction(0),) * len(self.variables)
         out = []
         for row in self.sparse_rows:
-            dense = list(zero)
+            dense, pivot = list(zero), next(iter(row.values()), 1)
             for c, v in row.items():
-                dense[c] = v
+                dense[c] = Fraction(v, pivot)
             out.append(tuple(dense))
         return tuple(out)
 
@@ -299,22 +301,15 @@ class ConditionSet(NamedTuple):
 
     def violations(self, values, den: int) -> tuple[Violation, ...]:
         """The rows failed by the unknowns ``values[col] / den``: integers, one
-        per column of ``variables``.  Each row is evaluated in integers over
-        the product of its own distinct denominators; only a failing row is
-        rendered and gets a ``Fraction`` lhs."""
+        per column of ``variables``.  Each row is one integer dot product;
+        only a failing row is rendered and gets a ``Fraction`` lhs, the reduced
+        row's value."""
         out = []
         for row in self.sparse_rows:
-            total, q = 0, 1  # the row so far is total / (q * den)
-            for col, c in row.items():
-                x = values[col]
-                if x:
-                    d = c.denominator
-                    if q % d:
-                        total, q = total * d + c.numerator * x * q, q * d
-                    else:
-                        total += c.numerator * x * (q // d)
+            total = sum(c * values[col] for col, c in row.items())
             if total:
-                out.append(Violation(render_linear(row, self.variables), Fraction(total, q * den)))
+                pivot = next(iter(row.values()))
+                out.append(Violation(render_linear(row, self.variables), Fraction(total, pivot * den)))
         return tuple(out)
 
 
@@ -379,12 +374,11 @@ def _generate(m: int, k: int) -> ConditionSet:
     f < t < i0, t <= top, where p is interpolated (empty when top = m).  As
     L_j(t) = (-1)^(f-j) (f+1) C(f,j) C(t,f+1) C(m-t,h) / (C(m-j,h) (t-j)), all
     of it is in integers over d = lcm_j C(m-j,h) lcm(1..top) (d = 1 with no
-    gap), and one Fraction(-d v, d) is built per entry.
+    gap): the row is d at the pivot and -d v elsewhere, divided by its gcd.
 
     The result is mirrored to b, whose column is just before a's: a pivot
     a_s^(r) gives the b_s^(r) row (its a row, pivot moved to b), then the a
     row; a free a_s^(r) gives b_s^(r)(0) - a_s^(r)(0) = 0."""
-    one, minus_one = Fraction(1), Fraction(-1)
     comb = math.comb
     pivots = {}
     for w in range(1, k + 1):
@@ -393,7 +387,7 @@ def _generate(m: int, k: int) -> ConditionSet:
         f = top - h
         col = [_column(w + r, r, m, k) + 1 for r in range(top + 1)]  # u_r's column
         if f < 0:
-            pivots.update((c, {c: one}) for c in col)
+            pivots.update((c, {c: 1}) for c in col)
             continue
         gap = range(f + 1, min(i0, top + 1))
         d = math.lcm(*(comb(m - j, h) for j in range(f + 1))) * math.lcm(*range(1, top + 1)) if gap else 1
@@ -404,12 +398,12 @@ def _generate(m: int, k: int) -> ConditionSet:
             dp[t] = [sum(comb(j, q) * dl[j] for j in range(q, f + 1)) for q in range(f + 1)]
         for p in range(f + 1, top + 1):
             weights = [((-1) ** (p - t) * comb(p, t), dp[t]) for t in gap if t <= p]
-            row = {col[p]: one}
+            row = {col[p]: d}
             for q in range(f, -1, -1):
                 dv = (-1) ** (p - f) * d * comb(p, q) * comb(p - q - 1, f - q)
-                dv += sum(c * x[q] for c, x in weights)
-                row[col[q]] = Fraction(-dv, d)
-            pivots[col[p]] = row
+                row[col[q]] = -dv - sum(c * x[q] for c, x in weights)
+            g = math.gcd(*row.values())
+            pivots[col[p]] = {c: v // g for c, v in row.items()}
     variables = _variables(m, k)
     out = []
     for c in range(1, len(variables), 2):
@@ -418,7 +412,7 @@ def _generate(m: int, k: int) -> ConditionSet:
             out.append({c - 1: row[c], **{j: v for j, v in row.items() if j != c}})
             out.append(row)
         else:
-            out.append({c - 1: one, c: minus_one})
+            out.append({c - 1: 1, c: -1})
     return ConditionSet(SpaceSpec(m), k, variables, tuple(out))
 
 

@@ -1,7 +1,7 @@
 """Random generators for admissible pairs and valid symbols.
 
 Both sample the solution space of the generated jet-condition systems: free
-unknowns get random rationals, pivot unknowns are solved from the reduced
+unknowns get random rationals, pivot unknowns are solved from the condition
 rows, and the prescribed jets are completed with random higher-order terms.
 Used by the test suite and handy for experiments.
 """
@@ -19,11 +19,11 @@ from .symbols import SymbolElem, symbol_conditions
 
 
 def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> list:
-    """A random point of the solution space of the reduced system, by column."""
+    """A random point of the solution space of the system, by column."""
     pivots = {min(row): row for row in conditions.sparse_rows}
     values = [None if i in pivots else random_fraction(rng) for i in range(len(conditions.variables))]
     for lead, row in pivots.items():
-        values[lead] = -sum((c * values[j] for j, c in row.items() if j != lead), Fraction(0))
+        values[lead] = -sum((c * values[j] for j, c in row.items() if j != lead), Fraction(0)) / row[lead]
     return values
 
 

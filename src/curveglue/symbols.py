@@ -13,7 +13,6 @@ l*a_s*a_t' - n*a_t*a_s' branchwise for degrees l and n.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -51,10 +50,10 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     min(m + 1, w) branch rows at least its r + 1 unknowns: when 2r < k."""
     if degree < 0:
         raise OrderError("operator order must be nonnegative")
-    one, rows, variables = Fraction(1), [], []
+    rows, variables = [], []
     for r in range(m, -1, -1):  # the columns in increasing order
         b = _column(degree, r, m, degree)  # the column of b^(r); a^(r) follows it
-        rows += [{b: one}, {b + 1: one}] if 2 * r < degree else [{b: one, b + 1: -one}]
+        rows += [{b: 1}, {b + 1: 1}] if 2 * r < degree else [{b: 1, b + 1: -1}]
         variables += [SymbolVar("b", r), SymbolVar("a", r)]
     return ConditionSet(SpaceSpec(m), degree, tuple(variables), tuple(rows))
 

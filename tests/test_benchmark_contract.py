@@ -6,6 +6,7 @@ instead of failing.  This test makes such a rename fail here.
 """
 
 import importlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -89,12 +90,13 @@ def test_condition_rows_are_dense_pivot_rows():
     from curveglue.glued import SpaceSpec
     from curveglue.operators import generate_conditions
 
-    conditions = generate_conditions(SpaceSpec(2), 3)
+    conditions = generate_conditions(SpaceSpec(3), 4)  # four sparse pivots are not 1
     rows = conditions.rows
     assert len(rows) == len(conditions.sparse_rows) > 0
     for row, sparse in zip(rows, conditions.sparse_rows):
         assert len(row) == len(conditions.variables)
-        assert {c: v for c, v in enumerate(row) if v} == sparse
+        pivot = next(iter(sparse.values()))
+        assert {c: v for c, v in enumerate(row) if v} == {c: Fraction(v, pivot) for c, v in sparse.items()}
         lead = next(c for c, v in enumerate(row) if v)
         assert row[lead] == 1
         assert [other[lead] for other in rows if other is not row] == [0] * (len(rows) - 1)

@@ -536,7 +536,9 @@ def _monomial(var: str, n: int) -> str:
 
 
 def _fraction_rendered(rows, variables) -> tuple[str, ...]:
-    return tuple(_fraction_signed_sum((c, variables[col].name) for col, c in row.items()) + " = 0"
+    """Integer rows, each divided by its first value, by the earlier renderer."""
+    return tuple(_fraction_signed_sum((Fraction(c, next(iter(row.values()), 1)), variables[col].name)
+                                      for col, c in row.items()) + " = 0"
                  for row in rows)
 
 
@@ -578,8 +580,11 @@ class TestRenderMatchesFractionReference:
         for cs in (conditions, stratum):
             assert cs.rendered == _fraction_rendered(cs.sparse_rows, cs.variables)
         columns = st.integers(0, len(conditions.variables) - 1)
-        rows = data.draw(st.lists(st.dictionaries(columns, wide_fractions.filter(bool)), max_size=5))
-        rows = tuple(dict(sorted(row.items())) for row in rows)
+        # Integer rows with a positive first entry, as sparse_rows holds them.
+        entries = st.integers(-10**80, 10**80).filter(bool) | st.integers(-60, 60).filter(bool)
+        rows = data.draw(st.lists(st.dictionaries(columns, entries), max_size=5))
+        rows = tuple({c: abs(v) if i == 0 else v for i, (c, v) in enumerate(sorted(row.items()))}
+                     for row in rows)
         drawn = ConditionSet(conditions.space, k, conditions.variables, rows)
         assert drawn.rendered == _fraction_rendered(rows, conditions.variables)
 

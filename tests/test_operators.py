@@ -33,7 +33,6 @@ from curveglue.operators import (
     pair_commutator,
     pair_compose,
     probe_admissible,
-    render_linear,
     spanning_family,
     verify_order,
 )
@@ -42,7 +41,15 @@ from curveglue.operators import _apply, _column, _generate, _jet_values, _leibni
 from curveglue.dsl import render_paired
 from curveglue.poly import ZERO, Poly, _poly, _trim, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair, random_symbol
-from curveglue.symbols import SymbolVar, symbol_conditions
+from curveglue.symbols import (
+    SymbolVar,
+    bracket_via_commutator,
+    pair_symbol,
+    poisson_bracket,
+    symbol_add,
+    symbol_conditions,
+    symbol_mul,
+)
 
 X = Poly.monomial(1)
 X2 = Poly.monomial(2)
@@ -463,8 +470,8 @@ def rref(rows):
     _generate.
 
     Each returned row holds only nonzero entries, its columns in increasing
-    order: the pivot, equal to 1, comes first, the row invariant of
-    ConditionSet.sparse_rows.
+    order: the pivot, equal to 1, comes first, the form a row of
+    ConditionSet.sparse_rows takes divided by its pivot (see _reduced).
 
     The elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): each
     row is scaled to integers by the lcm of its denominators, and a pivot row
@@ -515,6 +522,24 @@ def _subtract(row: dict, factor, pivot: dict) -> None:
             row[c] = value
         else:
             del row[c]
+
+
+def _reduced(rows):
+    """Integer condition rows, each divided by its first value, the pivot: the
+    reduced rows the Fraction oracles build."""
+    return [{c: Fraction(v, next(iter(row.values()))) for c, v in row.items()} for row in rows]
+
+
+def _is_primitive(row) -> bool:
+    """The row contract of ConditionSet.sparse_rows: nonzero int values with
+    gcd 1, the columns increasing, the pivot first and positive."""
+    columns, values = list(row), list(row.values())
+    return (
+        all(type(v) is int and v for v in values)
+        and math.gcd(*values) == 1
+        and columns == sorted(columns)
+        and values[0] > 0
+    )
 
 
 def _named_row(conditions, terms):
@@ -694,7 +719,7 @@ class TestWeightBlocks:
                     else:
                         assert len(want) == len(rows) < len(columns), (m, k, w)
                     got = [a_rows[c] for c in columns if c in a_rows]
-                    assert _items(got) == _items(want), (m, k, w, kind)
+                    assert _items(_reduced(got)) == _items(want), (m, k, w, kind)
         assert set(kinds) == {"full rank", "square", "truncated-short"}, kinds
 
     def test_column_formula(self):
@@ -760,8 +785,8 @@ class TestWeightBlocks:
         rows = _block_pascal_rows(m, k, w, index)
         columns = set().union(*rows)
         got = [row for row in conditions.sparse_rows if min(row) in columns]
-        assert all(type(v) is Fraction for row in got for v in row.values()), block
-        assert _items(got) == _items(rref(rows)), block
+        assert all(map(_is_primitive, got)), block
+        assert _items(_reduced(got)) == _items(rref(rows)), block
 
 
 def _two_branch_rows(m, k):
@@ -825,15 +850,15 @@ def _generate_reference(m, k):
 
 class TestBlocksMatchWholeSystem:
     """Byte identity of the block-by-block rows with the whole-system
-    elimination: values, their Fraction type, column and row order."""
+    elimination: values divided by the pivot, column and row order, and the
+    primitive integer form of every row."""
 
     @pytest.mark.parametrize("m,orders", [(m, range(21)) for m in range(13)] + [(32, [32])])
     def test_sparse_rows_identical(self, m, orders):
         for k in orders:
             rows = _generate(m, k).sparse_rows
-            # _items alone would accept an int in place of an equal Fraction.
-            assert all(type(v) is Fraction for row in rows for v in row.values()), (m, k)
-            assert _items(rows) == _items(_generate_reference(m, k)), (m, k)
+            assert all(map(_is_primitive, rows)), (m, k)
+            assert _items(_reduced(rows)) == _items(_generate_reference(m, k)), (m, k)
 
 
 class TestConditionsMatchElimination:
@@ -843,7 +868,7 @@ class TestConditionsMatchElimination:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 12))
     def test_generate_matches_two_branch_rref(self, m, k):
-        assert _items(_generate(m, k).sparse_rows) == _items(rref(_two_branch_rows(m, k)))
+        assert _items(_reduced(_generate(m, k).sparse_rows)) == _items(rref(_two_branch_rows(m, k)))
 
     def test_symbol_conditions_match_projection(self):
         for m in range(9):
@@ -851,12 +876,15 @@ class TestConditionsMatchElimination:
                 variables, rows = _projected_stratum(m, k)
                 stratum = symbol_conditions(m, k)
                 assert stratum.variables == variables, (m, k)
-                assert _items(stratum.sparse_rows) == _items(rows), (m, k)
-                assert stratum.rendered == tuple(render_linear(row, variables) for row in rows)
+                assert all(map(_is_primitive, stratum.sparse_rows)), (m, k)
+                assert _items(_reduced(stratum.sparse_rows)) == _items(rows), (m, k)
+                dense = [[row.get(c, 0) for c in range(len(variables))] for row in rows]
+                assert stratum.rendered == tuple(_dense_render(row, variables) for row in dense)
 
 
 def _dense_render(row, variables):
-    """Dense reference renderer: walk every column, skipping zeros."""
+    """Dense reference renderer of a reduced Fraction row: walk every column,
+    skipping zeros."""
     return signed_sum((c.numerator, c.denominator, v.name) for c, v in zip(row, variables)) + " = 0"
 
 
@@ -884,10 +912,7 @@ class TestSparseRowsMatchDenseReference:
                 violations = conditions.violations(values, den)
                 assert all(type(v.lhs) is Fraction for v in violations)
                 assert [(v.constraint, v.lhs) for v in violations] == expected, (m, k)
-                for row in conditions.sparse_rows:
-                    columns = list(row)
-                    assert all(a < b for a, b in zip(columns, columns[1:])), (m, k, row)
-                    assert row[columns[0]] == 1
+                assert all(map(_is_primitive, conditions.sparse_rows)), (m, k)
         assert verdicts == {True, False}
 
 
@@ -1080,6 +1105,32 @@ class TestPairs:
             depth = default_probe_degree(space, product.order)
             assert check_admissible(product.d1, product.d2, space, product.order).ok
             assert probe_admissible(product.d1, product.d2, space, depth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32))
+    @example(12, 8, 8, 0)
+    def test_bracket_at_scale(self, m, k, l, seed):
+        # The top coefficient of the commutator is the leading-coefficient
+        # formula of the two symbols.
+        space, rng = SpaceSpec(m), random.Random(seed)
+        a, b = random_admissible_pair(space, k, rng), random_admissible_pair(space, l, rng)
+        assert bracket_via_commutator(a, b) == poisson_bracket(pair_symbol(a), pair_symbol(b))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 12), st.tuples(*[st.integers(1, 8)] * 3), st.integers(0, 2**32))
+    @example(12, (8, 8, 8), 0)
+    def test_lie_identities_at_scale(self, m, degrees, seed):
+        # Antisymmetry, Jacobi and Leibniz over symbol_mul, each result also
+        # passing its degree stratum inside make_symbol.
+        space, rng = SpaceSpec(m), random.Random(seed)
+        r, s, t = (random_symbol(space, degree, rng) for degree in degrees)
+        with degree_cap(64):  # coefficients of degree <= 13, nested twice
+            assert symbol_add(poisson_bracket(r, s), poisson_bracket(s, r)).is_zero
+            cyclic = [poisson_bracket(x, poisson_bracket(y, z)) for x, y, z in ((r, s, t), (s, t, r), (t, r, s))]
+            assert symbol_add(symbol_add(*cyclic[:2]), cyclic[2]).is_zero
+            left = poisson_bracket(r, symbol_mul(s, t))
+            right = symbol_add(symbol_mul(poisson_bracket(r, s), t), symbol_mul(s, poisson_bracket(r, t)))
+            assert left == right
 
     @pytest.mark.parametrize(
         "combine,what,orders,order",

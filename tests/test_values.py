@@ -36,7 +36,7 @@ RECORDS = [
             "space": K0,
             "order": 0,
             "variables": (JetVar("b", 0, 0), JetVar("a", 0, 0)),
-            "sparse_rows": ({0: Fraction(1), 1: Fraction(-1)},),
+            "sparse_rows": ({0: 1, 1: -1},),
         },
     ),
     (
