@@ -16,16 +16,19 @@ finite linear system:
   the operators to a spanning family of glued pairs and compares output jets.
 
 Every layer addresses the unknowns by one column layout, :func:`_column`.
-Both oracles run on integers.  The rows are primitive integer equations, and
-the check puts the unknowns over one common denominator, so each row is one
-integer dot product; the probe forms only the m-jet of each image by
-:func:`_apply`, the kernel of ``apply`` too, and never a full product, so the
-degree cap does not bind it.
+A condition system's ``variables`` is a by-column view that names an unknown
+only when it is read, so generation builds rows and no names.  Both oracles
+run on integers.  The rows are primitive integer equations, and the check
+puts the unknowns over one common denominator, so each row is one integer dot
+product; the probe forms only the m-jet of each image by :func:`_apply`, the
+kernel of ``apply`` too, and never a full product, so the degree cap does not
+bind it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
@@ -237,6 +240,17 @@ class JetVar(NamedTuple):
         return _prime_name(f"{self.branch}{self.s}", self.r)
 
 
+class SymbolVar(NamedTuple):
+    """The unknown a^(r)(0) or b^(r)(0) of a top coefficient."""
+
+    branch: str
+    r: int
+
+    @property
+    def name(self) -> str:
+        return _prime_name(self.branch, self.r)
+
+
 def _column(s: int, r: int, m: int, k: int) -> int:
     """The column of b_s^(r)(0) in the order-k system on K_m; a_s^(r)(0) has
     the next.  Higher s first, then higher r, so reduced rows read like
@@ -244,17 +258,70 @@ def _column(s: int, r: int, m: int, k: int) -> int:
     return 2 * ((k - s) * (m + 1) + m - r)
 
 
-def _variables(m: int, k: int) -> tuple[JetVar, ...]:
-    """The inverse of :func:`_column`: the unknown of each column."""
-    return tuple([tuple.__new__(JetVar, (branch, s, r))
-                  for s in range(k, -1, -1) for r in range(m, -1, -1) for branch in "ba"])
+class _Unknowns(Sequence):
+    """The unknown of each column, the inverse of :func:`_column`: a read-only
+    view that builds each :class:`JetVar` only when read.  With ``stratum``
+    it is the degree stratum, the s = k slice of the same layout, whose
+    unknowns are :class:`SymbolVar`.  It compares equal to the tuple of its
+    unknowns, in either direction, but it is not a tuple: it has no ``+``,
+    no ordering and no hash."""
+
+    __slots__ = ("m", "k", "stratum")
+
+    def __init__(self, m: int, k: int, stratum: bool = False):
+        for name, value in (("m", m), ("k", k), ("stratum", stratum)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __reduce__(self):
+        return type(self), (self.m, self.k, self.stratum)
+
+    def __len__(self) -> int:
+        return 2 * (self.m + 1) * (1 if self.stratum else self.k + 1)
+
+    def _unknown(self, branch: str, s: int, r: int):
+        return tuple.__new__(SymbolVar, (branch, r)) if self.stratum else tuple.__new__(JetVar, (branch, s, r))
+
+    def __getitem__(self, col):
+        col = range(len(self))[col]  # a range for a slice; IndexError out of range
+        if isinstance(col, range):
+            return tuple(map(self.__getitem__, col))
+        pair, branch = divmod(col, 2)
+        return self._unknown("ba"[branch], self.k - pair // (self.m + 1), self.m - pair % (self.m + 1))
+
+    def __iter__(self):
+        m, k, unknown = self.m, self.k, self._unknown
+        strata = (k,) if self.stratum else range(k, -1, -1)
+        return iter([unknown(branch, s, r) for s in strata for r in range(m, -1, -1) for branch in "ba"])
+
+    def names(self) -> list[str]:
+        """The name of the unknown at each column, built without the unknowns."""
+        ends = [_prime_name("", r) for r in range(self.m, -1, -1)]
+        stems = [""] if self.stratum else [str(s) for s in range(self.k, -1, -1)]
+        return [f"{branch}{stem}{end}" for stem in stems for end in ends for branch in "ba"]
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Unknowns)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
-def render_linear(row: dict[int, int], variables) -> str:
+def _variables(m: int, k: int) -> _Unknowns:
+    """The unknowns of the order-k system on K_m, by column."""
+    return _Unknowns(m, k)
+
+
+def render_linear(row: dict[int, int], names) -> str:
     """Render a sparse constraint row, columns in increasing order, as '... = 0',
-    each entry divided by the first, the pivot (an empty row is '0 = 0')."""
+    each entry divided by the first, the pivot (an empty row is '0 = 0');
+    ``names[col]`` is the name of the unknown at column col."""
     pivot = next(iter(row.values()), 1)
-    return signed_sum((c, pivot, variables[col].name) for col, c in row.items()) + " = 0"
+    return signed_sum((c, pivot, names[col]) for col, c in row.items()) + " = 0"
 
 
 class Violation(NamedTuple):
@@ -276,11 +343,16 @@ class ConditionSet(NamedTuple):
     and do not sort again.  :func:`_generate` builds them weight block by
     weight block, so a row's unknowns all share one weight s - r.  They are
     the only stored form and are shared through the condition caches, so
-    callers must not mutate them."""
+    callers must not mutate them.
+
+    ``variables`` holds the unknown of each column.  The generators store a
+    by-column view there that builds an unknown only when it is read, so a
+    cold generation builds rows and no names, and :attr:`rendered` names the
+    columns from the layout; it compares equal to the tuple of its unknowns."""
 
     space: SpaceSpec
     order: int
-    variables: tuple[JetVar, ...]
+    variables: Sequence[JetVar | SymbolVar]
     sparse_rows: tuple[dict[int, int], ...]
 
     @property
@@ -297,7 +369,9 @@ class ConditionSet(NamedTuple):
 
     @property
     def rendered(self) -> tuple[str, ...]:
-        return tuple(render_linear(row, self.variables) for row in self.sparse_rows)
+        variables = self.variables
+        names = variables.names() if isinstance(variables, _Unknowns) else [v.name for v in variables]
+        return tuple(render_linear(row, names) for row in self.sparse_rows)
 
     def violations(self, values, den: int) -> tuple[Violation, ...]:
         """The rows failed by the unknowns ``values[col] / den``: integers, one
@@ -309,7 +383,8 @@ class ConditionSet(NamedTuple):
             total = sum(c * values[col] for col, c in row.items())
             if total:
                 pivot = next(iter(row.values()))
-                out.append(Violation(render_linear(row, self.variables), Fraction(total, pivot * den)))
+                names = {col: self.variables[col].name for col in row}
+                out.append(Violation(render_linear(row, names), Fraction(total, pivot * den)))
         return tuple(out)
 
 

@@ -20,7 +20,7 @@ from .symbols import SymbolElem, symbol_conditions
 
 def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> list:
     """A random point of the solution space of the system, by column."""
-    pivots = {min(row): row for row in conditions.sparse_rows}
+    pivots = {next(iter(row)): row for row in conditions.sparse_rows}  # the pivot is first
     values = [None if i in pivots else random_fraction(rng) for i in range(len(conditions.variables))]
     for lead, row in pivots.items():
         values[lead] = -sum((c * values[j] for j, c in row.items() if j != lead), Fraction(0)) / row[lead]

@@ -23,23 +23,13 @@ from .operators import (
     BranchOp,
     ConditionSet,
     PairedOp,
+    SymbolVar,  # re-exported: the unknown of the degree stratum
     _column,
     _jet_values,
-    _prime_name,
+    _Unknowns,
     pair_commutator,
 )
 from .poly import ZERO, Poly
-
-
-class SymbolVar(NamedTuple):
-    """The unknown a^(r)(0) or b^(r)(0) of a top coefficient."""
-
-    branch: str
-    r: int
-
-    @property
-    def name(self) -> str:
-        return _prime_name(self.branch, self.r)
 
 
 @lru_cache(maxsize=None)
@@ -50,12 +40,11 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     min(m + 1, w) branch rows at least its r + 1 unknowns: when 2r < k."""
     if degree < 0:
         raise OrderError("operator order must be nonnegative")
-    rows, variables = [], []
+    rows = []
     for r in range(m, -1, -1):  # the columns in increasing order
         b = _column(degree, r, m, degree)  # the column of b^(r); a^(r) follows it
         rows += [{b: 1}, {b + 1: 1}] if 2 * r < degree else [{b: 1, b + 1: -1}]
-        variables += [SymbolVar("b", r), SymbolVar("a", r)]
-    return ConditionSet(SpaceSpec(m), degree, tuple(variables), tuple(rows))
+    return ConditionSet(SpaceSpec(m), degree, _Unknowns(m, degree, stratum=True), tuple(rows))
 
 
 class SymbolElem(NamedTuple):

@@ -102,6 +102,45 @@ def test_condition_rows_are_dense_pivot_rows():
         assert [other[lead] for other in rows if other is not row] == [0] * (len(rows) - 1)
 
 
+def test_condition_variables_are_read_by_column():
+    # condition_grid reads len(variables) as the unknowns count, and
+    # harness.perturb reads .branch, .s and .r of variables[i] at the column
+    # of a row's pivot; rendering reads .name.
+    from curveglue.glued import SpaceSpec
+    from curveglue.operators import JetVar, generate_conditions
+
+    m, k = 3, 4
+    conditions = generate_conditions(SpaceSpec(m), k)
+    variables = conditions.variables
+    assert len(variables) == 2 * (m + 1) * (k + 1) == len(conditions.rows[0])
+    for i in range(len(variables)):
+        var = variables[i]
+        assert type(var) is JetVar
+        assert var.branch in "ab" and 0 <= var.s <= k and 0 <= var.r <= m
+        assert isinstance(var.name, str)
+    assert (variables[0].name, variables[-1].name) == ("b4'''(0)", "a0(0)")
+
+
+def test_every_grid_digest_matches(monkeypatch):
+    # The rendered tables of every (m, k) point that condition_grid runs,
+    # through the benchmark's own digest, against its expected digests; the
+    # smoke run checks only m <= 2, k <= 3.
+    import json
+
+    from curveglue.glued import SpaceSpec
+    from curveglue.operators import generate_conditions
+    from curveglue.symbols import symbol_conditions
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    condition_grid = importlib.import_module("condition_grid")
+    expected = json.loads((PERFBENCH / "expected_digests.json").read_text())
+    grid = [(m, k) for m in range(condition_grid.M_MAX + 1) for k in range(condition_grid.K_MAX + 1)]
+    assert len(grid) == 80 and sorted(expected) == sorted(f"{m},{k}" for m, k in grid)
+    for m, k in grid:
+        digest = condition_grid.table_digest(generate_conditions(SpaceSpec(m), k), symbol_conditions(m, k))
+        assert digest == expected[f"{m},{k}"], (m, k)
+
+
 def test_render_paired_takes_parsed_pairs():
     # The benchmark's DSL probe renders what parse_many_paired returns.
     from curveglue import dsl

@@ -1,8 +1,10 @@
 """Branch operators, delta chains, condition generation and admissibility."""
 
+import gc
 import hashlib
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -685,6 +687,17 @@ def _block_pascal_rows(m, k, w, index):
     ]
 
 
+def _variables_reference(m, k):
+    """The unknowns of the order-k system on K_m as a tuple, by the nested
+    loop over s, r and the branch that built them before the view."""
+    return tuple(JetVar(branch, s, r) for s in range(k, -1, -1) for r in range(m, -1, -1) for branch in "ba")
+
+
+def _stratum_reference(m):
+    """The degree stratum's unknowns as a tuple, b^(r)(0) then a^(r)(0)."""
+    return tuple(SymbolVar(branch, r) for r in range(m, -1, -1) for branch in "ba")
+
+
 # One weight block (m, k, w) with m, k <= 96 and 1 <= w <= k.
 _blocks = st.tuples(st.integers(0, 96), st.integers(1, 96)).flatmap(
     lambda mk: st.tuples(st.just(mk[0]), st.just(mk[1]), st.integers(1, mk[1]))
@@ -749,6 +762,71 @@ class TestWeightBlocks:
                 for r in range(m + 1):
                     for b in (0, 1):
                         assert stratum[_column(k, r, m, k) + b] == SymbolVar("ba"[b], r), (m, k, r)
+
+    def test_view_behaves_like_the_tuple(self):
+        # The by-column views against the tuples they replace, for the full
+        # layout and the degree stratum.
+        for m in range(13):
+            for k in range(13):
+                views = [
+                    (_variables(m, k), _variables_reference(m, k)),
+                    (symbol_conditions(m, k).variables, _stratum_reference(m)),
+                ]
+                for view, tup in views:
+                    n = len(tup)
+                    assert len(view) == n, (m, k)
+                    assert [view[c] for c in range(-n, n)] == [tup[c] for c in range(-n, n)], (m, k)
+                    assert all(type(view[c]) is type(tup[c]) for c in range(n)), (m, k)
+                    for bad in (n, -n - 1):
+                        with pytest.raises(IndexError):
+                            view[bad]
+                    for cut in (slice(None), slice(1, n - 1), slice(None, None, -1), slice(-3, None, 2), slice(n, 2 * n)):
+                        assert view[cut] == tup[cut] and type(view[cut]) is tuple, (m, k, cut)
+                    assert [view.index(v) for v in tup] == list(range(n)), (m, k)
+                    assert all(v in view for v in tup), (m, k)
+                    assert JetVar("a", k + 1, 0) not in view and SymbolVar("a", m + 1) not in view
+                    with pytest.raises(ValueError):
+                        view.index(JetVar("a", k + 1, 0))
+                    assert tuple(view) == tup and list(view) == list(tup), (m, k)
+                    assert view == tup and tup == view and not view != tup and not tup != view, (m, k)
+                    assert view != tup[:-1] and tup[:-1] != view and view != list(tup), (m, k)
+                    assert repr(view) == repr(tup), (m, k)
+                    assert view.names() == [v.name for v in tup], (m, k)
+                    with pytest.raises(TypeError):
+                        hash(view)
+                    assert pickle.loads(pickle.dumps(view)) == tup, (m, k)
+                    with pytest.raises(AttributeError):
+                        view.m = m + 1
+                    with pytest.raises(AttributeError):
+                        view.names = ()
+                assert _variables(m, k) != _variables(m, k + 1)
+
+    def test_condition_sets_compare_by_value(self):
+        for m, k in [(0, 0), (2, 3), (5, 4)]:
+            before = generate_conditions(SpaceSpec(m), k)
+            _generate.cache_clear()
+            after = generate_conditions(SpaceSpec(m), k)
+            assert after is not before and after == before and after.variables == before.variables
+            stratum = symbol_conditions(m, k)
+            symbol_conditions.cache_clear()
+            assert symbol_conditions(m, k) == stratum
+            for system in (after, stratum):
+                # A system built on the tuple of unknowns renders the same.
+                assert system._replace(variables=tuple(system.variables)).rendered == system.rendered
+
+    def test_cold_generation_builds_no_names(self):
+        # Condition generation builds rows only: an unknown is built when
+        # it is read, never up front.
+        def count():
+            gc.collect()
+            return sum(type(o) in (JetVar, SymbolVar) for o in gc.get_objects())
+
+        _generate.cache_clear()
+        symbol_conditions.cache_clear()
+        before = count()
+        held = [_generate(6, 8), symbol_conditions(6, 8)]
+        assert count() == before
+        assert held[0].variables[0] == JetVar("b", 8, 6) and held[1].variables[-1] == SymbolVar("a", 0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 5), st.lists(st.tuples(delta_polys, delta_polys), min_size=1, max_size=5))
