@@ -145,10 +145,6 @@ def _numbered_lines(text: str):
             yield number, line
 
 
-def _poly_of(nums: dict[int, int], den: int) -> Poly:
-    return _poly([nums.get(n, 0) for n in range(max(nums, default=-1) + 1)], den)
-
-
 def parse_poly(text: str, line: int = 1, offset: int = 0) -> Poly:
     """Parse a univariate polynomial; x and y are both accepted as the
     indeterminate (branch naming is display only), but not mixed.  Error
@@ -169,10 +165,10 @@ def parse_poly2(text: str) -> Poly2:
     """Parse a plane polynomial in x and y, which may span several lines;
     comments and line breaks are whitespace, and errors name their line."""
     terms, den = _terms(_numbered_lines(text))
-    max_j = max(j for (_, j) in terms)
-    return Poly2.of(*(
-        _poly_of({i: c for (i, jj), c in terms.items() if jj == j}, den) for j in range(max_j + 1)
-    ))
+    by_y = [{} for _ in range(max(j for _, j in terms) + 1)]  # by_y[j] = {x power: numerator}
+    for (i, j), c in terms.items():
+        by_y[j][i] = c
+    return Poly2.of(*(_poly([row.get(i, 0) for i in range(max(row, default=-1) + 1)], den) for row in by_y))
 
 
 _PAIR = re.compile(r"^\s*pair\s+m\s*=\s*(?P<m>\d+)\s*:\s*(?P<body>.*)$")

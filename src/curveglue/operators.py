@@ -259,12 +259,13 @@ def _column(s: int, r: int, m: int, k: int) -> int:
 
 
 class _Unknowns(Sequence):
-    """The unknown of each column, the inverse of :func:`_column`: a read-only
-    view that builds each :class:`JetVar` only when read.  With ``stratum``
-    it is the degree stratum, the s = k slice of the same layout, whose
-    unknowns are :class:`SymbolVar`.  It compares equal to the tuple of its
-    unknowns, in either direction, but it is not a tuple: it has no ``+``,
-    no ordering and no hash."""
+    """The unknown of each column of the order-k system on K_m, the inverse of
+    :func:`_column`: a read-only view that builds each :class:`JetVar` only
+    when read.  With ``stratum`` it holds the :class:`SymbolVar` of a degree
+    stratum, built with k = 0: a degree-k symbol (a_k, b_k) is the data of an
+    order-0 pair and takes its columns.  It compares equal to the tuple of
+    its unknowns, in either direction, but it is not a tuple: it has no
+    ``+``, no ordering and no hash."""
 
     __slots__ = ("m", "k", "stratum")
 
@@ -279,22 +280,17 @@ class _Unknowns(Sequence):
         return type(self), (self.m, self.k, self.stratum)
 
     def __len__(self) -> int:
-        return 2 * (self.m + 1) * (1 if self.stratum else self.k + 1)
-
-    def _unknown(self, branch: str, s: int, r: int):
-        return tuple.__new__(SymbolVar, (branch, r)) if self.stratum else tuple.__new__(JetVar, (branch, s, r))
+        return 2 * (self.m + 1) * (self.k + 1)
 
     def __getitem__(self, col):
         col = range(len(self))[col]  # a range for a slice; IndexError out of range
         if isinstance(col, range):
             return tuple(map(self.__getitem__, col))
         pair, branch = divmod(col, 2)
-        return self._unknown("ba"[branch], self.k - pair // (self.m + 1), self.m - pair % (self.m + 1))
-
-    def __iter__(self):
-        m, k, unknown = self.m, self.k, self._unknown
-        strata = (k,) if self.stratum else range(k, -1, -1)
-        return iter([unknown(branch, s, r) for s in strata for r in range(m, -1, -1) for branch in "ba"])
+        s, r = self.k - pair // (self.m + 1), self.m - pair % (self.m + 1)
+        if self.stratum:
+            return tuple.__new__(SymbolVar, ("ba"[branch], r))
+        return tuple.__new__(JetVar, ("ba"[branch], s, r))
 
     def names(self) -> list[str]:
         """The name of the unknown at each column, built without the unknowns."""
@@ -309,11 +305,6 @@ class _Unknowns(Sequence):
 
     def __repr__(self) -> str:
         return repr(tuple(self))
-
-
-def _variables(m: int, k: int) -> _Unknowns:
-    """The unknowns of the order-k system on K_m, by column."""
-    return _Unknowns(m, k)
 
 
 def render_linear(row: dict[int, int], names) -> str:
@@ -390,8 +381,9 @@ class ConditionSet(NamedTuple):
 
 def _jet_values(pairs, m: int) -> tuple[list[int], int]:
     """The jets of ``pairs[s] = (a_s, b_s)``, s <= k = len(pairs) - 1, each at
-    its column of the order-k system (a lone pair at the stratum's), as the
-    integers r! * nums[r] over one common denominator of every coefficient."""
+    its column of the order-k system, as the integers r! * nums[r] over one
+    common denominator of every coefficient.  A lone pair, such as a symbol's
+    top pair, takes the order-0 columns, which the degree stratum uses."""
     den = math.lcm(*(p.den for pair in pairs for p in pair))
     k = len(pairs) - 1
     facts = [math.factorial(r) for r in range(m + 1)]
@@ -479,7 +471,7 @@ def _generate(m: int, k: int) -> ConditionSet:
                 row[col[q]] = -dv - sum(c * x[q] for c, x in weights)
             g = math.gcd(*row.values())
             pivots[col[p]] = {c: v // g for c, v in row.items()}
-    variables = _variables(m, k)
+    variables = _Unknowns(m, k)
     out = []
     for c in range(1, len(variables), 2):
         if c in pivots:

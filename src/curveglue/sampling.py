@@ -51,8 +51,8 @@ def random_admissible_pair(
 def random_symbol(
     space: SpaceSpec, degree: int, rng: random.Random, max_degree: int = 4
 ) -> SymbolElem:
-    """Random valid symbol of the given degree: the top pair s = k of the
-    order-k layout, whose columns the degree stratum uses."""
+    """Random valid symbol of the given degree: a pair (a, b) read, like an
+    order-0 pair, from the order-0 columns the degree stratum uses."""
     values = solve_homogeneous(symbol_conditions(space.m, degree), rng)
-    a, b = _coefficient_pair(values, degree, space.m, degree, rng, max_degree)
+    a, b = _coefficient_pair(values, 0, space.m, 0, rng, max_degree)
     return SymbolElem(degree, a, b, space)

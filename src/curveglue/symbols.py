@@ -23,7 +23,6 @@ from .operators import (
     BranchOp,
     ConditionSet,
     PairedOp,
-    SymbolVar,  # re-exported: the unknown of the degree stratum
     _column,
     _jet_values,
     _Unknowns,
@@ -37,14 +36,16 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     """Degree stratum of the admissibility conditions, in closed form: the
     diagonal rows force b^(r)(0) = a^(r)(0), and a_k^(r)(0) is cut out alone
     exactly when its weight block w = k - r has full rank, with its
-    min(m + 1, w) branch rows at least its r + 1 unknowns: when 2r < k."""
+    min(m + 1, w) branch rows at least its r + 1 unknowns: when 2r < k.  The
+    top pair (a_k, b_k) is the data of an order-0 pair, so the stratum uses
+    the columns of the order-0 system at every degree."""
     if degree < 0:
         raise OrderError("operator order must be nonnegative")
     rows = []
     for r in range(m, -1, -1):  # the columns in increasing order
-        b = _column(degree, r, m, degree)  # the column of b^(r); a^(r) follows it
+        b = _column(0, r, m, 0)  # the column of b^(r); a^(r) follows it
         rows += [{b: 1}, {b + 1: 1}] if 2 * r < degree else [{b: 1, b + 1: -1}]
-    return ConditionSet(SpaceSpec(m), degree, _Unknowns(m, degree, stratum=True), tuple(rows))
+    return ConditionSet(SpaceSpec(m), degree, _Unknowns(m, 0, stratum=True), tuple(rows))
 
 
 class SymbolElem(NamedTuple):

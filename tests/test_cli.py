@@ -332,13 +332,23 @@ class TestPrintingLimit:
     CHARS = f"char branch=1 at={'7' * 3000}\nchar branch=2 at={'7' * 3000}\n"
     # The violated row b0(0) - a0(0) = 0 has an lhs with a 6000-digit denominator.
     PAIR = f"branch x\nop order=0\ncoeff 0: 1/{'7' * 3000}\nbranch y\nop order=0\ncoeff 0: 1/{'3' * 2999}1\n"
+    SUM = f"1/{'7' * 3000}*x + 1/{'3' * 2999}1*x"  # a 6000-digit denominator
+    MULTIPLIER = f"branch x\nop order=0\ncoeff 0: {SUM}\nbranch y\nop order=0\ncoeff 0: {SUM}\n"
+    X2D = "branch x\nop order=1\ncoeff 1: x^2\nbranch y\nop order=1\ncoeff 1: x^2\n"
+    SURFACE = f"1/{'7' * 3000}*x*y + 1/{'3' * 2999}1*x*y\n"
+    GLUED = f"pair m=0: {SUM} | {SUM} + x^2\n"
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize("text, argv", [
         (SYMBOLS, ["bracket", "-"]),
         (CHARS, ["witness", "-", "--space", "K1"]),
         (PAIR, ["check", "-", "--space", "K0"]),
-    ], ids=["bracket", "witness", "check"])
+        (MULTIPLIER, ["symbol", "-", "--space", "K0"]),
+        (MULTIPLIER + X2D, ["compose", "-", "--space", "K0"]),
+        (MULTIPLIER + X2D, ["commutator", "-", "--space", "K0"]),
+        (SURFACE, ["restrict", "-", "--space", "K0"]),
+        (GLUED, ["extend", "-"]),
+    ], ids=["bracket", "witness", "check", "symbol", "compose", "commutator", "restrict", "extend"])
     def test_one_error_line_and_exit_2(self, capsys, monkeypatch, text, argv, flags):
         status, captured = run_stdin(capsys, monkeypatch, text, *argv, *flags)
         assert status == 2
@@ -693,3 +703,25 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_cli_runs_as_a_process():
+    """``python -m curveglue.cli`` exits through entry() with main's status:
+    0 and 1 with their golden output, 2 with one error line and no traceback."""
+    def cli(*argv, stdin=""):
+        return subprocess.run(
+            [sys.executable, "-S", "-m", "curveglue.cli", *map(str, argv)],
+            input=stdin,
+            env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    done = cli("conditions", "--space", "K1", "--order", "2")
+    assert (done.returncode, done.stdout) == (0, (GOLDEN / "conditions_K1_order2.txt").read_text())
+    done = cli("check", DATA / "pair_dd_K0.txt", "--space", "K0")
+    assert (done.returncode, done.stdout) == (1, (GOLDEN / "check_dd_K0.txt").read_text())
+    done = cli("check", "-", "--space", "K1", stdin="branch q\n")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: expected 'branch x' at line 1\n"

@@ -24,6 +24,7 @@ from curveglue.operators import (
     AdmissibilityReport,
     BranchOp,
     JetVar,
+    SymbolVar,
     Violation,
     check_admissible,
     commutator,
@@ -39,12 +40,11 @@ from curveglue.operators import (
     verify_order,
 )
 from curveglue import operators
-from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _nums, _variables
+from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _nums, _Unknowns
 from curveglue.dsl import render_paired
 from curveglue.poly import ZERO, Poly, _poly, _trim, degree_cap, get_degree_cap, signed_sum
 from curveglue.sampling import random_admissible_pair, random_symbol
 from curveglue.symbols import (
-    SymbolVar,
     bracket_via_commutator,
     pair_symbol,
     poisson_bracket,
@@ -644,7 +644,7 @@ class TestSparseElimination:
     def test_generated_rows_match_dense_build(self):
         for m in range(5):
             for k in range(7):
-                variables = _variables(m, k)
+                variables = _Unknowns(m, k)
                 family = spanning_family(SpaceSpec(m), max_diag=k + m, max_branch=k + m + 1)
                 dense = [_defining_row(variables, f, g, i) for f, g in family for i in range(m + 1)]
                 assert _generate(m, k).rows == tuple(_gauss_jordan(dense, len(variables))), (m, k)
@@ -738,18 +738,18 @@ class TestWeightBlocks:
     def test_column_formula(self):
         for m in range(9):
             for k in range(13):
-                variables = _variables(m, k)
+                variables = _Unknowns(m, k)
                 for s in range(k + 1):
                     for r in range(m + 1):
                         column = 2 * ((k - s) * (m + 1) + (m - r)) + 1
                         assert column == variables.index(JetVar("a", s, r)), (m, k, s, r)
 
     def test_column_layout(self):
-        # _variables inverts _column, b_s^(r)(0) first and a_s^(r)(0) next,
-        # over every column; the degree stratum has the columns s = k.
+        # _Unknowns inverts _column, b_s^(r)(0) first and a_s^(r)(0) next,
+        # over every column; the degree stratum has the order-0 columns.
         for m in range(9):
             for k in range(9):
-                variables = _variables(m, k)
+                variables = _Unknowns(m, k)
                 columns = {
                     _column(s, r, m, k) + b: JetVar("ba"[b], s, r)
                     for s in range(k + 1) for r in range(m + 1) for b in (0, 1)
@@ -761,16 +761,19 @@ class TestWeightBlocks:
                 assert len(stratum) == 2 * (m + 1), (m, k)
                 for r in range(m + 1):
                     for b in (0, 1):
-                        assert stratum[_column(k, r, m, k) + b] == SymbolVar("ba"[b], r), (m, k, r)
+                        assert stratum[_column(0, r, m, 0) + b] == SymbolVar("ba"[b], r), (m, k, r)
 
     def test_view_behaves_like_the_tuple(self):
         # The by-column views against the tuples they replace, for the full
         # layout and the degree stratum.
         for m in range(13):
             for k in range(13):
+                stratum = symbol_conditions(m, k).variables
+                assert stratum == _Unknowns(m, 0, stratum=True), (m, k)
+                assert pickle.loads(pickle.dumps(stratum)) == _Unknowns(m, 0, stratum=True), (m, k)
                 views = [
-                    (_variables(m, k), _variables_reference(m, k)),
-                    (symbol_conditions(m, k).variables, _stratum_reference(m)),
+                    (_Unknowns(m, k), _variables_reference(m, k)),
+                    (_Unknowns(m, 0, stratum=True), _stratum_reference(m)),
                 ]
                 for view, tup in views:
                     n = len(tup)
@@ -799,7 +802,7 @@ class TestWeightBlocks:
                         view.m = m + 1
                     with pytest.raises(AttributeError):
                         view.names = ()
-                assert _variables(m, k) != _variables(m, k + 1)
+                assert _Unknowns(m, k) != _Unknowns(m, k + 1)
 
     def test_condition_sets_compare_by_value(self):
         for m, k in [(0, 0), (2, 3), (5, 4)]:
@@ -834,7 +837,7 @@ class TestWeightBlocks:
         # Each unknown r! * p_r sits at its column, over the one denominator.
         values, den = _jet_values(pairs, m)
         k = len(pairs) - 1
-        assert len(values) == len(_variables(m, k))
+        assert len(values) == len(_Unknowns(m, k))
         expected = [None] * len(values)
         for s, (a, b) in enumerate(pairs):
             for r in range(m + 1):
@@ -871,7 +874,7 @@ def _two_branch_rows(m, k):
     """Sparse rows of (D1 f)^(i)(0) = (D2 g)^(i)(0), i <= m, over the whole
     spanning family, both branches, each entry C(i,r) n! (negated on branch b);
     empty rows skipped."""
-    column = {v: c for c, v in enumerate(_variables(m, k))}
+    column = {v: c for c, v in enumerate(_Unknowns(m, k))}
     for f, g in spanning_family(SpaceSpec(m), max_diag=k + m, max_branch=k + m + 1):
         terms = [
             (branch, p.degree, sign * math.factorial(p.degree))
@@ -907,7 +910,7 @@ def _items(rows):
 def _generate_reference(m, k):
     """The reduced system from one rref of every branch-a row at once,
     mirrored to b: the whole-system elimination _generate replaced."""
-    variables = _variables(m, k)
+    variables = _Unknowns(m, k)
     column = {v: c for c, v in enumerate(variables)}
     rows = (
         {column[JetVar("a", n - i + r, r)]: math.comb(i, r) for r in range(min(i, k + i - n) + 1)}
