@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import EmbeddingError, JetMismatch, SpaceMismatch
-from .poly import Poly, Poly2
+from .poly import Poly, Poly2, _poly
 
 
 class SpaceSpec(NamedTuple("SpaceSpec", [("m", int)])):
@@ -128,7 +128,9 @@ def random_fraction(rng: random.Random) -> Fraction:
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:
-    return Poly.of(*[random_fraction(rng) for _ in range(rng.randint(0, max_degree) + 1)])
+    """:func:`random_fraction`'s draws, in its order, over their common denominator 6 = lcm(1, 2, 3)."""
+    terms = range(rng.randint(0, max_degree) + 1)
+    return _poly([rng.randint(-4, 4) * (6 // rng.randint(1, 3)) for _ in terms], 6)
 
 
 def with_random_tail(head: Poly, m: int, rng: random.Random, max_degree: int) -> Poly:

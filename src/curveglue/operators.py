@@ -9,9 +9,8 @@ jets a_s^(r)(0), b_s^(r)(0) with s <= k, r <= m, so it is captured by a
 finite linear system:
 
 * :func:`generate_conditions` reduces the defining equation on branch a
-  weight block by weight block - each block in closed form, by one exact
-  Lagrange interpolation formula - and mirrors it to branch b: the ground
-  truth;
+  weight block by weight block, each in closed form, and mirrors it to
+  branch b: the ground truth;
 * :func:`probe_admissible` is the independent brute-force oracle: it applies
   the operators to a spanning family of glued pairs and compares output jets.
 
@@ -414,7 +413,7 @@ def spanning_family(space: SpaceSpec, max_diag: int, max_branch: int):
 
 @lru_cache(maxsize=None)
 def _generate(m: int, k: int) -> ConditionSet:
-    """The reduced system, built weight block by weight block on branch a.
+    """The reduced system, built in one walk over the a-columns.
 
     The diagonal pairs f = g = x^n force b_s^(r)(0) = a_s^(r)(0) (at each
     weight s - r their rows are a unit triangular Pascal system on a - b), so
@@ -422,65 +421,77 @@ def _generate(m: int, k: int) -> ConditionSet:
     (D f)^(i)(0) = sum_s sum_{r<=i} C(i,r) a_s^(r)(0) f^(s+i-r)(0), so each
     meets only a_(n-i+r)^(r), with value C(i,r) n! (n! dropped here).
 
-    Those rows split by the weight w = n - i = s - r into blocks with
-    disjoint unknowns u_r = a_(w+r)^(r), r <= top = min(m, k - w) (so
-    1 <= w <= k), and h = m + 1 - i0 rows sum_r C(i,r) u_r = 0 for
-    i0 = max(0, m + 1 - w) <= i <= m: the Newton form p(x) = sum_r u_r C(x,r)
-    vanishes at i0..m.  The higher r, the lower the column of u_r, so each
-    block reduces alone, by one interpolation formula.  With f = top - h < 0
-    every u_r = 0, a unit row.  Otherwise u_0..u_f are free and p, of degree
-    <= top, is fixed by its values p(j) = sum_q C(j,q) u_q at j <= f and its
-    zeros at i0..m (f < i0): with the Lagrange basis L_j on those nodes,
-    p(t) = sum_q u_q P_q(t), P_q(t) = sum_(j>=q) C(j,q) L_j(t), and each pivot
-    u_p = Delta^p p(0), f < p <= top, is sum_q v(p,q) u_q with
+    Those rows split by the weight w = n - i = s - r into blocks with disjoint
+    unknowns u_r = a_(w+r)^(r), r <= top = min(m, k - w), and h = m + 1 - i0
+    rows sum_r C(i,r) u_r = 0, i0 = max(0, m + 1 - w) <= i <= m: the Newton
+    form p(x) = sum_r u_r C(x,r) vanishes at i0..m.  With f = top - h < 0
+    every u_r = 0, a unit row.  Otherwise h = w, u_0..u_f are free, p is
+    sum_q u_q P_q, P_q(t) = C(t,q) at t <= f and 0 at i0..m, of degree <= top,
+    and each pivot u_p = Delta^p p(0), f < p <= top, is sum_q v(p,q) u_q with
 
       v(p,q) = (-1)^(p-f) C(p,q) C(p-q-1, f-q)
                + sum_(t in gap, t <= p) (-1)^(p-t) C(p,t) P_q(t),
 
     the first term the alternating Pascal sum over t <= f, the gap the nodes
-    f < t < i0, t <= top, where p is interpolated (empty when top = m).  As
-    L_j(t) = (-1)^(f-j) (f+1) C(f,j) C(t,f+1) C(m-t,h) / (C(m-j,h) (t-j)), all
-    of it is in integers over d = lcm_j C(m-j,h) lcm(1..top) (d = 1 with no
-    gap): the row is d at the pivot and -d v elsewhere, divided by its gcd.
+    f < t < min(i0, top + 1).  A square block (top = m) has no gap: its rows
+    are the first term, pivot 1.  Otherwise P_q - C(., q) is (x)_(f+1) S_q,
+    deg S_q < h, S_q(i) = -C(i,q)/(i)_(f+1) at the zeros, and as (x)_(f+1)
+    C(x-f-1, n) = (f+1)! C(f+1+n, n) C(x, f+1+n), v(f+1+n, q) = C(f+1+n, n)
+    tau_n, tau the Newton coefficients at f + 1 of (f+1)! S_q.  Forward
+    differences of its zeros' values -C(i,q)/C(i,f+1) give them at i0, and
+    g = i0 - f - 1 Taylor shifts by -1 (a_n -= a_(n+1), n descending) take
+    them down to f + 1: additions, on integers over d = lcm_i C(i,f+1), one
+    for all q, digit q of W bits (C(i,.) are the digits of (2^W + 1)^i), W
+    enough for d v <= d 2^(m + (h-1) + (g+h-1) + top).  A row is d at the
+    pivot and -d v elsewhere, divided by its gcd.
 
-    The result is mirrored to b, whose column is just before a's: a pivot
-    a_s^(r) gives the b_s^(r) row (its a row, pivot moved to b), then the a
-    row; a free a_s^(r) gives b_s^(r)(0) - a_s^(r)(0) = 0."""
-    comb = math.comb
-    pivots = {}
-    for w in range(1, k + 1):
-        i0, top = max(0, m + 1 - w), min(m, k - w)
-        h = m + 1 - i0
-        f = top - h
-        col = [_column(w + r, r, m, k) + 1 for r in range(top + 1)]  # u_r's column
-        if f < 0:
-            pivots.update((c, {c: 1}) for c in col)
-            continue
-        gap = range(f + 1, min(i0, top + 1))
-        d = math.lcm(*(comb(m - j, h) for j in range(f + 1))) * math.lcm(*range(1, top + 1)) if gap else 1
-        dp = {}  # dp[t][q] = d P_q(t)
-        for t in gap:
-            scale = (f + 1) * comb(t, f + 1) * comb(m - t, h)
-            dl = [(-1) ** (f - j) * scale * comb(f, j) * (d // comb(m - j, h) // (t - j)) for j in range(f + 1)]
-            dp[t] = [sum(comb(j, q) * dl[j] for j in range(q, f + 1)) for q in range(f + 1)]
-        for p in range(f + 1, top + 1):
-            weights = [((-1) ** (p - t) * comb(p, t), dp[t]) for t in gap if t <= p]
-            row = {col[p]: d}
-            for q in range(f, -1, -1):
-                dv = (-1) ** (p - f) * d * comb(p, q) * comb(p - q - 1, f - q)
-                row[col[q]] = -dv - sum(c * x[q] for c, x in weights)
-            g = math.gcd(*row.values())
-            pivots[col[p]] = {c: v // g for c, v in row.items()}
-    variables = _Unknowns(m, k)
-    out = []
-    for c in range(1, len(variables), 2):
-        if c in pivots:
-            row = pivots[c]
-            out.append({c - 1: row[c], **{j: v for j, v in row.items() if j != c}})
-            out.append(row)
-        else:
-            out.append({c - 1: 1, c: -1})
-    return ConditionSet(SpaceSpec(m), k, variables, tuple(out))
+    The walk classifies each a-column in O(1): no block (w <= 0) or a free
+    unknown gives b_s^(r)(0) - a_s^(r)(0) = 0, a full-rank block two unit
+    rows, a pivot its a row with the pivot moved to b (the column before),
+    then the a row.  A block's shifted values serve its pivots in this call."""
+    comb, a0 = math.comb, _column(0, 0, m, k) + 1  # the column of a_0(0)
+    down, across = _column(0, 1, m, k) + 1 - a0, _column(1, 0, m, k) + 1 - a0  # to r + 1, to s + 1
+    diagonal = down + across  # from u_r to u_(r+1)
+    free = [min(m, k - w) - w for w in range(k + 1)]  # f of block w: h = w when f >= 0
+    out, gaps = [], {}  # gaps[w]: block w's Newton coefficients at f + 1, packed
+    for s in range(k, -1, -1):
+        base = a0 + s * across
+        for p in range(m, -1, -1):  # the a-columns in layout order
+            c, w = base + p * down, s - p  # a_s^(p)(0), the u_p of block w
+            if w <= 0 or p <= (f := free[w]):  # no block, or a free unknown
+                out.append({c - 1: 1, c: -1})
+                continue
+            if f < 0:
+                out += [{c - 1: 1}, {c: 1}]
+                continue
+            cols = range(c + (f - p) * diagonal, c - (p + 1) * diagonal, -diagonal)  # u_f..u_0
+            if k - w >= m:  # square
+                sign = 1 if (p - f) & 1 else -1
+                rest = {j: sign * comb(p, q) * comb(p - q - 1, f - q) for j, q in zip(cols, range(f, -1, -1))}
+                out += [{c - 1: 1, **rest}, {c: 1, **rest}]
+                continue
+            if w not in gaps:  # h = w zeros i0..m, and top = k - w
+                i0 = m + 1 - w
+                d = math.lcm(*map(comb, range(i0, m + 1), [f + 1] * w))
+                size = (d.bit_length() + m + k + w + i0 - f + 7) // 8  # W / 8
+                mask, pascal = (1 << 8 * size * (f + 1)) - 1, pow((1 << 8 * size) + 1, i0 - 1)
+                x = [(d // comb(i, f + 1)) * (pascal := (pascal + (pascal << 8 * size)) & mask)
+                     for i in range(i0, m + 1)]  # digit q: d C(i,q) / C(i,f+1)
+                for n in range(1, w):  # forward differences at i0
+                    for e in range(w - 1, n - 1, -1):
+                        x[e] -= x[e - 1]
+                for _ in range(i0 - f - 1):  # Taylor shifts by -1, from i0 down to f + 1
+                    for n in range(w - 2, -1, -1):
+                        x[n] -= x[n + 1]
+                half = 1 << 8 * size - 1  # added to every digit, so that each reads unsigned
+                gaps[w] = d, size, half, x, int.from_bytes(half.to_bytes(size, "little") * (f + 1), "little")
+            d, size, half, x, bias = gaps[w]
+            b = (bias + comb(p, p - f - 1) * x[p - f - 1]).to_bytes(size * (f + 1), "little")
+            row = [int.from_bytes(b[j:j + size], "little") - half for j in range(size * f, -1, -size)]
+            g = math.gcd(d, *row)
+            rest = dict(zip(cols, [v // g for v in row]))
+            out += [{c - 1: d // g, **rest}, {c: d // g, **rest}]
+    return ConditionSet(SpaceSpec(m), k, _Unknowns(m, k), tuple(out))
 
 
 def generate_conditions(space: SpaceSpec, k: int) -> ConditionSet:

@@ -41,9 +41,11 @@ def symbol_conditions(m: int, degree: int) -> ConditionSet:
     the columns of the order-0 system at every degree."""
     if degree < 0:
         raise OrderError("operator order must be nonnegative")
+    base = _column(0, 0, m, 0)
+    step = _column(0, 1, m, 0) - base  # from r to r + 1
     rows = []
     for r in range(m, -1, -1):  # the columns in increasing order
-        b = _column(0, r, m, 0)  # the column of b^(r); a^(r) follows it
+        b = base + r * step  # the column of b^(r); a^(r) follows it
         rows += [{b: 1}, {b + 1: 1}] if 2 * r < degree else [{b: 1, b + 1: -1}]
     return ConditionSet(SpaceSpec(m), degree, _Unknowns(m, 0, stratum=True), tuple(rows))
 

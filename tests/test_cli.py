@@ -128,6 +128,16 @@ def test_conditions_K96_output_is_pinned(capsys):
     assert digest == "ef9e45e0fb7f6836d64af8cbfc54e8f4ebbaa4a4a949bb7969bf4edeebf10b6f"
 
 
+def test_conditions_K128_output_is_pinned(capsys):
+    # Line count and digest of the output of the interpolation formula that
+    # the one column walk replaced; 20,801 rows, as the rank formula says.
+    status, captured = run(capsys, "conditions", "--space", "K128", "--order", "128", "--max-degree", "128")
+    assert status == 0
+    assert captured.out.count("\n") == 20801
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == "639547ca29dffc04ecbbe6dfded901ebfa850baf6788b666dfc974175955542f"
+
+
 # The parser that reads back each verb's ``result.dsl``.
 RESULT_PARSERS = {
     "compose": dsl.parse_paired,

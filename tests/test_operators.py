@@ -870,6 +870,44 @@ class TestWeightBlocks:
         assert _items(_reduced(got)) == _items(rref(rows)), block
 
 
+def _rank_formula(m, k):
+    """The rank of the order-k system on K_m: (m+1)(k+1) diagonal rows, b = a,
+    and min(h, top + 1) = min(m + 1, w, k + 1 - w) pivots in block w."""
+    return (m + 1) * (k + 1) + sum(min(m + 1, w, k + 1 - w) for w in range(1, k + 1))
+
+
+def _jet_dimension(m, k):
+    """J(m, k): the dimension of the admissible order-k jets at 0."""
+    return 2 * (m + 1) * (k + 1) - len(_generate.__wrapped__(m, k).sparse_rows)
+
+
+class TestClosedForms:
+    """Closed forms for the size of the condition systems, which pin the row
+    count of every block kind at sizes the dense oracle cannot reach quickly:
+    the rank, the order filtration's increments as the symbol strata (gr F_k
+    is the degree-k stratum, two separate code paths), and the stabilisation
+    beyond order 2m, where every new top coefficient vanishes to order m + 1
+    on both branches."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 48), st.integers(0, 72))
+    @example(128, 128)
+    def test_rank(self, m, k):
+        assert len(_generate.__wrapped__(m, k).sparse_rows) == _rank_formula(m, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 32), st.integers(1, 48))
+    def test_filtration_increments_are_the_symbol_strata(self, m, k):
+        free = 2 * (m + 1) - len(symbol_conditions.__wrapped__(m, k).sparse_rows)
+        assert free == (m + 1) - sum(2 * r < k for r in range(m + 1)), (m, k)
+        assert _jet_dimension(m, k) - _jet_dimension(m, k - 1) == free, (m, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 24), st.integers(0, 24))
+    def test_stabilisation(self, m, extra):
+        assert _jet_dimension(m, 2 * m + 1 + extra) == (m + 1) ** 2, (m, extra)
+
+
 def _two_branch_rows(m, k):
     """Sparse rows of (D1 f)^(i)(0) = (D2 g)^(i)(0), i <= m, over the whole
     spanning family, both branches, each entry C(i,r) n! (negated on branch b);
