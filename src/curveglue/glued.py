@@ -11,7 +11,6 @@ of y = 0 and y = h(x).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import EmbeddingError, JetMismatch, SpaceMismatch
@@ -123,12 +122,9 @@ def restrict_to_branches(F: Poly2, h: Poly | None, space: SpaceSpec) -> GluedFun
     return make_glued(F.at_y_zero(), F.substitute_y(h), space)
 
 
-def random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:
-    """:func:`random_fraction`'s draws, in its order, over their common denominator 6 = lcm(1, 2, 3)."""
+    """Coefficients n/d, n drawn in [-4, 4] and then d in [1, 3], over their
+    common denominator 6 = lcm(1, 2, 3)."""
     terms = range(rng.randint(0, max_degree) + 1)
     return _poly([rng.randint(-4, 4) * (6 // rng.randint(1, 3)) for _ in terms], 6)
 

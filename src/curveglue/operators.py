@@ -269,8 +269,9 @@ class _Unknowns(Sequence):
     __slots__ = ("m", "k", "stratum")
 
     def __init__(self, m: int, k: int, stratum: bool = False):
-        for name, value in (("m", m), ("k", k), ("stratum", stratum)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "stratum", stratum)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -434,7 +435,9 @@ def _generate(m: int, k: int) -> ConditionSet:
 
     the first term the alternating Pascal sum over t <= f, the gap the nodes
     f < t < min(i0, top + 1).  A square block (top = m) has no gap: its rows
-    are the first term, pivot 1.  Otherwise P_q - C(., q) is (x)_(f+1) S_q,
+    are the first term, pivot 1, written down q from v(p,f) = -(-1)^(p-f)
+    C(p,f) by v(p,q-1) = v(p,q) q (p-q) / ((p-q+1)(f-q+1)), exact as the
+    ratio of the two binomials' steps.  Otherwise P_q - C(., q) is (x)_(f+1) S_q,
     deg S_q < h, S_q(i) = -C(i,q)/(i)_(f+1) at the zeros, and as (x)_(f+1)
     C(x-f-1, n) = (f+1)! C(f+1+n, n) C(x, f+1+n), v(f+1+n, q) = C(f+1+n, n)
     tau_n, tau the Newton coefficients at f + 1 of (f+1)! S_q.  Forward
@@ -465,9 +468,10 @@ def _generate(m: int, k: int) -> ConditionSet:
                 out += [{c - 1: 1}, {c: 1}]
                 continue
             cols = range(c + (f - p) * diagonal, c - (p + 1) * diagonal, -diagonal)  # u_f..u_0
-            if k - w >= m:  # square
-                sign = 1 if (p - f) & 1 else -1
-                rest = {j: sign * comb(p, q) * comb(p - q - 1, f - q) for j, q in zip(cols, range(f, -1, -1))}
+            if k - w >= m:  # square: v(p, q) by its recurrence down q
+                v, rest = comb(p, f) if (p - f) & 1 else -comb(p, f), {}
+                for j, q in zip(cols, range(f, -1, -1)):
+                    rest[j], v = v, v * q * (p - q) // ((p - q + 1) * (f - q + 1))
                 out += [{c - 1: 1, **rest}, {c: 1, **rest}]
                 continue
             if w not in gaps:  # h = w zeros i0..m, and top = k - w

@@ -43,7 +43,7 @@ from curveglue import operators
 from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _nums, _Unknowns
 from curveglue.dsl import render_paired
 from curveglue.poly import ZERO, Poly, _poly, _trim, degree_cap, get_degree_cap, signed_sum
-from curveglue.sampling import random_admissible_pair, random_symbol
+from curveglue.sampling import random_admissible_pair, random_symbol, solve_homogeneous
 from curveglue.symbols import (
     bracket_via_commutator,
     pair_symbol,
@@ -979,6 +979,20 @@ class TestBlocksMatchWholeSystem:
             assert all(map(_is_primitive, rows)), (m, k)
             assert _items(_reduced(rows)) == _items(_generate_reference(m, k)), (m, k)
 
+    @pytest.mark.parametrize(
+        "m,k,digest",
+        [
+            (64, 128, "ebe3e9c9606dfda50c0f98e3e6e2df34038a5b2052553fa8c40fcc0cd2411e82"),
+            (128, 256, "08b829fb57f2a8df2fdbff42010f22dcf0f015f1a7f63ba5370cac74682d7b40"),
+        ],
+    )
+    def test_square_blocks_are_pinned(self, m, k, digest):
+        # A square block needs k - w >= m with w >= 1, so the k = m pins hold
+        # none; at k = 2m most blocks are square.  Digests of the rows, in
+        # item order, recorded with a comb pair per entry.
+        rows = _generate.__wrapped__(m, k).sparse_rows
+        assert hashlib.sha256(repr(_items(rows)).encode()).hexdigest() == digest
+
 
 class TestConditionsMatchElimination:
     """Branch-a elimination mirrored to b, and the closed-form stratum, against
@@ -1144,6 +1158,29 @@ class TestSampling:
                     digest.update(repr(random_admissible_pair(SpaceSpec(m), k, rng)).encode())
                     digest.update(repr(random_symbol(SpaceSpec(m), k, rng)).encode())
         assert digest.hexdigest() == "efb6938f0ddee9699a95327867343e80168f92a9486eb2b756a2e2cc553a59fe"
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (32, "70ff7697fb7f2edc0e8264588cf69ca79b15fc130f5ce2c180f5ca4d238f556c"),
+            (64, "a294582a62db0d0f3b38f436f6d2e10bb234b6ebc1521182212383ccc05e4d6b"),
+        ],
+    )
+    def test_draws_at_scale_are_pinned(self, n, digest):
+        # An order-n pair on K_n, at the sizes of the scale tables; digests
+        # recorded with the Fraction solve.
+        with degree_cap(200):
+            rendered = repr(random_admissible_pair(SpaceSpec(n), n, random.Random(1)))
+        assert hashlib.sha256(rendered.encode()).hexdigest() == digest
+
+    def test_sample_satisfies_its_system(self):
+        # The solve apart from the draws: every sampled point, in the form the
+        # check reads, satisfies every row of its own system.
+        rng = random.Random(3)
+        for m in range(7):
+            for k in range(9):
+                for conditions in (_generate(m, k), symbol_conditions(m, k)):
+                    assert conditions.violations(*solve_homogeneous(conditions, rng)) == (), (m, k)
 
 
 class TestPairs:
