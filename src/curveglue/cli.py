@@ -188,7 +188,7 @@ def _embed_poly(args) -> Poly | None:
 
 
 def _cmd_extend(args) -> int:
-    lines = list(dsl._numbered_lines(_read(args.file)))
+    lines = dsl._numbered_lines(_read(args.file))
     if len(lines) != 1:
         raise CurveGlueError(f"expected one pair line, found {len(lines)}")
     number, line = lines[0]
@@ -215,7 +215,7 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    lines = list(dsl._numbered_lines(_read(args.file)))
+    lines = dsl._numbered_lines(_read(args.file))
     if len(lines) != 2:
         raise CurveGlueError(f"expected two character lines, found {len(lines)}")
     c1, c2 = (dsl.parse_char(line, number) for number, line in lines)

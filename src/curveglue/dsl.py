@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from .errors import DSLSyntaxError, JetMismatch
@@ -36,93 +37,94 @@ from .poly import ZERO, Poly, Poly2, _poly, get_degree_cap, poly_str, rational_s
 from .spectra import Character, make_character
 from .symbols import SymbolElem, make_symbol
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xy])|(?P<op>[*^+\-])|(?P<bad>\S))"
-)
+_TOKEN = re.compile(r"\d+(?:/\d+)?|[xy]|[*^+\-]|\S")
 
 
-def _rational(text: str, line: int, column: int | None = None) -> tuple[int, int]:
+def _rational(text: str, error) -> tuple[int, int]:
     """The integers (numerator, denominator) of an ``INT`` or ``INT/INT``
-    literal, not reduced; a numerator may carry a sign."""
+    literal, not reduced; a numerator may carry a sign.  ``error(message)``
+    builds the :class:`DSLSyntaxError` raised, so it is positioned only then."""
     num, _, den = text.partition("/")
     try:
         num, den = int(num), int(den or 1)
     except ValueError:  # more digits than int() converts
-        raise DSLSyntaxError(f"number too long ({len(text)} characters)", line, column) from None
+        raise error(f"number too long ({len(text)} characters)") from None
     if not den:
-        raise DSLSyntaxError(f"zero denominator in {text!r}", line, column)
+        raise error(f"zero denominator in {text!r}")
     return num, den
 
 
-def _capped(text: str, what: str, line: int, column: int) -> int:
+def _capped(text: str, what: str, error) -> int:
     """An integer that sizes the problem (exponent, contact order, degree,
     operator order), at most the degree cap."""
-    value = _rational(text, line, column)[0]
+    value = _rational(text, error)[0]
     cap = get_degree_cap()
     if value > cap:
-        raise DSLSyntaxError(f"{what} {value} exceeds the degree cap {cap}", line, column)
+        raise error(f"{what} {value} exceeds the degree cap {cap}")
     return value
 
 
 def _terms(lines, offset: int = 0) -> tuple[dict[tuple[int, int], int], int]:
-    """The sum of an expression spread over ``(number, text)`` lines, in
-    integers: ``{(x power, y power): numerator}`` and the lcm of the literal
-    denominators they share.  A line break is whitespace.  Error columns
+    """The sum of an expression spread over a list of ``(number, text)``
+    lines, in integers: ``{(x power, y power): numerator}`` and the lcm of
+    the literal denominators they share.  A line break is whitespace.  The
+    grammar walks the token strings of one ``findall`` per line; only an
+    error finds lines and columns, from the lines again.  Error columns
     count from ``offset`` + 1, and errors at the end of input have none."""
-    toks = []
-    number = 1
+    toks, number = [], 1
     for number, text in lines:
-        for match in _TOKEN.finditer(text):
-            kind = match.lastgroup
-            column = offset + match.start(kind) + 1
-            if kind == "bad":
-                raise DSLSyntaxError(f"unexpected character {match.group(kind)!r}", number, column)
-            toks.append((match.group(kind), number, column))
+        toks += _TOKEN.findall(text)
     if not toks:
         raise DSLSyntaxError("empty expression", number)
-    toks.append(("", number, None))
+    toks.append("")  # the end of input
 
-    def fail(message: str):
-        raise DSLSyntaxError(message, *toks[i][1:])
+    def error(message: str) -> DSLSyntaxError:
+        """The error at token i, or at the first unexpected character."""
+        found = [(match.group(), line, offset + match.start() + 1)
+                 for line, text in lines for match in _TOKEN.finditer(text)]
+        for tok, line, column in found:
+            if tok[0] not in "xy*^+-" and not tok[0].isdecimal():
+                return DSLSyntaxError(f"unexpected character {tok!r}", line, column)
+        return DSLSyntaxError(message, *(found[i][1:] if i < len(found) else (number,)))
 
     parts = []  # (key, signed numerator, denominator), one per term
-    sign = -1 if toks[0][0] == "-" else 1
-    i = 1 if toks[0][0] in ("+", "-") else 0
+    sign = -1 if toks[0] == "-" else 1
+    i = 1 if toks[0] in ("+", "-") else 0
     while True:
-        text, number, column = toks[i]
+        text = toks[i]
         num = den = 1
         powers = {}
-        if text[:1].isdigit():
-            num, den = _rational(text, number, column)
+        if text[:1].isdecimal():
+            num, den = _rational(text, error)
             i += 1
         elif text not in ("x", "y"):
-            fail("expected a term")
+            raise error("expected a term")
         while True:  # factors, each after an optional '*'
-            if toks[i][0] == "*":
+            if toks[i] == "*":
                 i += 1
-                if toks[i][0] not in ("x", "y"):
-                    fail("expected a variable after '*'")
-            var = toks[i][0]
+                if toks[i] not in ("x", "y"):
+                    raise error("expected a variable after '*'")
+            var = toks[i]
             if var not in ("x", "y"):
                 break
             power = 1
             i += 1
-            if toks[i][0] == "^":
+            if toks[i] == "^":
                 i += 1
-                text, number, column = toks[i]
-                if not text[:1].isdigit() or "/" in text:
-                    fail("expected an integer exponent after '^'")
-                power = _capped(text, "exponent", number, column)
+                text = toks[i]
+                if not text[:1].isdecimal() or "/" in text:
+                    raise error("expected an integer exponent after '^'")
+                power = _capped(text, "exponent", error)
                 i += 1
             if var in powers:
-                fail(f"variable {var!r} repeated in one term")
+                raise error(f"variable {var!r} repeated in one term")
             powers[var] = power
         parts.append(((powers.get("x", 0), powers.get("y", 0)), sign * num, den))
-        text = toks[i][0]
+        text = toks[i]
         if not text:
             break
         if text not in ("+", "-"):
-            fail(f"expected '+' or '-', got {text!r}")
+            raise error(f"expected '+' or '-', got {text!r}")
         sign = 1 if text == "+" else -1
         i += 1
     lcm = math.lcm(*{den for _, _, den in parts})
@@ -138,11 +140,9 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].rstrip()
 
 
-def _numbered_lines(text: str):
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if line:
-            yield number, line
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The ``(number, text)`` lines left after :func:`_strip`, numbered from 1."""
+    return [(number, line) for number, line in enumerate(map(_strip, text.splitlines()), start=1) if line]
 
 
 def parse_poly(text: str, line: int = 1, offset: int = 0) -> Poly:
@@ -150,14 +150,11 @@ def parse_poly(text: str, line: int = 1, offset: int = 0) -> Poly:
     indeterminate (branch naming is display only), but not mixed.  Error
     columns count from ``offset`` + 1."""
     terms, den = _terms([(line, text)], offset)
-    nums = [0] * (max(i + j for i, j in terms) + 1)
-    has_x = has_y = False
-    for (i, j), c in terms.items():
-        if c:
-            has_x, has_y = has_x or i > 0, has_y or j > 0
-            nums[i + j] += c
-    if has_x and has_y:
+    if any(i for (i, _), c in terms.items() if c) and any(j for (_, j), c in terms.items() if c):
         raise DSLSyntaxError("expected a univariate polynomial, found both x and y", line)
+    nums = [0] * (max(i + j for i, j in terms) + 1)
+    for (i, j), c in terms.items():
+        nums[i + j] += c
     return _poly(nums, den)
 
 
@@ -185,7 +182,8 @@ _SIZES = {"m": "contact order", "deg": "degree", "order": "order"}
 
 def _size(match: re.Match, group: str, line: int) -> int:
     """A header field that sizes the problem, at most the degree cap."""
-    return _capped(match.group(group), _SIZES[group], line, match.start(group) + 1)
+    error = partial(DSLSyntaxError, line=line, column=match.start(group) + 1)
+    return _capped(match.group(group), _SIZES[group], error)
 
 
 def _branch_polys(match: re.Match, line: int) -> tuple[Poly, Poly]:
@@ -223,12 +221,12 @@ def parse_char(text: str, line: int = 1) -> Character:
     match = _CHAR.match(_strip(text))
     if not match:
         raise DSLSyntaxError("expected 'char branch=<1|2|sing> at=<rational>'", line)
-    branch, column = match.group(1), match.start(2) + 1
-    at = Fraction(*_rational(match.group(2), line, column))
+    branch, error = match.group(1), partial(DSLSyntaxError, line=line, column=match.start(2) + 1)
+    at = Fraction(*_rational(match.group(2), error))
     try:
         return make_character("sing" if branch == "sing" else int(branch), at)
     except ValueError as exc:  # the singular character off base point 0
-        raise DSLSyntaxError(str(exc), line, column) from None
+        raise error(str(exc)) from None
 
 
 class ParsedPair(NamedTuple):
@@ -252,7 +250,8 @@ def _parse_op_block(lines: list, index: int) -> tuple[tuple[BranchOp, int], int]
         match = _COEFF.match(line)
         if not match:
             break
-        i = _rational(match.group("index"), number, match.start("index") + 1)[0]
+        error = partial(DSLSyntaxError, line=number, column=match.start("index") + 1)
+        i = _rational(match.group("index"), error)[0]
         if i > order:
             raise DSLSyntaxError(f"coefficient index {i} exceeds declared order {order}", number)
         if i in coeffs:
@@ -286,7 +285,7 @@ def parse_paired(text: str) -> ParsedPair:
 
 
 def parse_many_paired(text: str) -> list[ParsedPair]:
-    lines = list(_numbered_lines(text))
+    lines = _numbered_lines(text)
     if not lines:
         raise DSLSyntaxError("empty paired-operator input", 1)
     pairs = []
@@ -318,9 +317,7 @@ def render_char(c: Character) -> str:
 
 
 def render_op(op: BranchOp, declared_order: int | None = None, var: str = "x") -> str:
-    order = declared_order
-    if order is None:
-        order = 0 if op.is_zero else int(op.order)
+    order = max(len(op.coeffs) - 1, 0) if declared_order is None else declared_order
     lines = [f"op order={order}"]
     for i in range(order, -1, -1):
         coeff = op.coeff(i)

@@ -30,7 +30,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, zip_longest
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, ClosureBugError, DegreeCapExceeded, OrderError
@@ -125,8 +125,9 @@ def _pack(digits, width: int) -> int:
     return x
 
 
-def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[int]]:
-    """The terms r >= first of a_i d^i (b_j d^j .) = sum_r C(i,r) a_i b_j^(r) d^(i-r+j).
+def _leibniz(a: list[list[int]], b: list[list[int]], commute: bool) -> list[list[int]]:
+    """a o b = sum_r C(i,r) a_i b_j^(r) d^(i-r+j), or with ``commute`` a o b - b o a:
+    the terms r >= 1 of both orders, as the r = 0 terms cancel.
 
     The operators are integer numerator arrays: ``a[i]`` holds those of a_i
     over one common denominator, ``b[j]`` those of b_j over another, and the
@@ -136,37 +137,42 @@ def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[in
     In symbols, sigma(A o B) = sum_r (1/r!) d_xi^r sigma_A d_x^r sigma_B, that
     is sum_r A_r B_r with A_r = sum_i C(i,r) a_i xi^(i-r), B_r = sum_j b_j^(r) xi^j,
     each packed into one int by Kronecker substitution, x -> 2^w and
-    xi -> 2^(w nx), so one big-int multiply per r.  With la, lb the longest
-    lengths in a and b, a product a_i b_j^(r) has at most nx = la + lb - 1 - first
-    coefficients.  One of A_r B_r sums at most min(len(a) - r, len(b)) min(la, lb - r)
-    products C(i,r) a_i[u] b_j^(r)[s], each at most C(len(a)-1, r) perm(lb-1, r)
-    |a| |b| in absolute value, |a| and |b| the largest entries.  Summed over r
-    that bound is below 2^(w-1), so adding 2^(w-1) to every digit of the total
-    puts each in [0, 2^w), where one shift and mask reads it exactly.
+    xi -> 2^(w nx), one big-int multiply per r and order into one total.  With
+    la, lb the longest lengths in a and b, and first = 1 if commuting, else 0,
+    a product has at most nx = la + lb - 1 - first coefficients.  One of
+    A_r B_r sums at most min(len(a) - r, len(b)) min(la, lb - r) products
+    C(i,r) a_i[u] b_j^(r)[s], each at most C(len(a)-1, r) perm(lb-1, r) |a| |b|,
+    |a| and |b| the largest entries; (b, a) swaps the roles.  Summed over r
+    and orders that bound is below 2^(w-1), so adding 2^(w-1) to every digit
+    of the total puts each in [0, 2^w), where one shift and mask reads it.
 
     For each (i, j) the product r = first has the highest degree, so
-    :class:`DegreeCapExceeded` for the first product above the cap in the
-    order i, j, r ascending is found from the lengths alone."""
+    :class:`DegreeCapExceeded` for the first product above the cap, in the
+    order i, j, r ascending and (a, b) before (b, a), comes from the lengths."""
+    first = 1 if commute else 0
     cap, la, lb = get_degree_cap(), max(map(len, a), default=0), max(map(len, b), default=0)
+    orders = ((a, b, la, lb, 1), (b, a, lb, la, -1))[:first + 1]  # p o q, longest lengths, sign
     if la + lb - 2 - first > cap:  # some product may pass the cap
-        for degree in (len(ai) + len(bj) - 2 - first for ai in a[first:] if ai for bj in b if len(bj) > first):
+        for degree in (len(pi) + len(qj) - 2 - first
+                       for p, q, *_ in orders for pi in p[first:] if pi for qj in q if len(qj) > first):
             if degree > cap:
                 raise DegreeCapExceeded(degree, cap)
-    rs = range(first, min(len(a), lb))  # every r with a product
-    if not rs:
+    bound = sum(min(len(p) - r, len(q)) * min(lp, lq - r) * math.comb(len(p) - 1, r) * math.perm(lq - 1, r)
+                for p, q, lp, lq, _ in orders for r in range(first, min(len(p), lq)))
+    if not bound:  # no r with a product
         return []
     big = max(map(abs, chain.from_iterable(a))) * max(map(abs, chain.from_iterable(b)))
-    w = (big * sum(min(len(a) - r, len(b)) * min(la, lb - r) * math.comb(len(a) - 1, r)
-                   * math.perm(lb - 1, r) for r in rs)).bit_length() + 1
+    w = (big * bound).bit_length() + 1
     step, slots = w * (la + lb - 1 - first), len(a) + len(b) - 1 - first  # xi -> 2^step
-    packed, total = [_pack(ai, w) for ai in a], 0
-    for r in range(rs.stop):
-        deriv = [[c * t for t, c in enumerate(bj) if t] for bj in deriv] if r else b
-        if r >= first:
-            a_r = _pack([math.comb(i, r) * packed[i] for i in range(r, len(a))], step)
-            total += a_r * _pack([_pack(bj, w) for bj in deriv], step)
     half, mask = 1 << (w - 1), (1 << w) - 1
-    total += half * ((1 << step * slots) - 1) // mask  # 2^(w-1) at every digit
+    total = half * ((1 << step * slots) - 1) // mask  # 2^(w-1) at every digit
+    for p, q, _, lq, sign in orders:
+        packed = [_pack(pi, w) for pi in p]
+        for r in range(min(len(p), lq)):
+            deriv = [[c * t for t, c in enumerate(qj) if t] for qj in deriv] if r else q
+            if r >= first:
+                p_r = _pack([sign * math.comb(i, r) * packed[i] for i in range(r, len(p))], step)
+                total += p_r * _pack([_pack(qj, w) for qj in deriv], step)
     out = [[(x >> s & mask) - half for s in range(0, step, w)]
            for x in [total >> s & ((1 << step) - 1) for s in range(0, step * slots, step)]]
     for target in out:
@@ -180,17 +186,13 @@ def _leibniz(a: list[list[int]], b: list[list[int]], first: int) -> list[list[in
 def compose(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     """Operator composition: apply op_b first, then op_a."""
     (a, da), (b, db) = _nums(op_a), _nums(op_b)
-    return BranchOp.of(*(_poly(c, da * db) for c in _leibniz(a, b, 0)))
+    return BranchOp.of(*(_poly(c, da * db) for c in _leibniz(a, b, False)))
 
 
 def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
-    """[op_a, op_b] = op_a op_b - op_b op_a.  The r = 0 terms of the two
-    compositions, a_i b_j d^(i+j), cancel, so they are never formed."""
+    """[op_a, op_b] = op_a op_b - op_b op_a, in one kernel pass."""
     (a, da), (b, db) = _nums(op_a), _nums(op_b)
-    pairs = zip_longest(_leibniz(a, b, 1), _leibniz(b, a, 1), fillvalue=())
-    return BranchOp.of(
-        *(_poly([x - y for x, y in zip_longest(p, q, fillvalue=0)], da * db) for p, q in pairs)
-    )
+    return BranchOp.of(*(_poly(c, da * db) for c in _leibniz(a, b, True)))
 
 
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:

@@ -1,6 +1,7 @@
 """DSL parsing, rendering roundtrips and error positions."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -20,8 +21,13 @@ from curveglue.spectra import make_character
 
 # ---------------------------------------------------------------------------
 # Reference expression parser: the earlier token generator and
-# recursive-descent class, with the earlier Fraction-based literal readers,
-# kept to check the one-pass integer parser against.
+# recursive-descent class, with the earlier Fraction-based literal readers
+# and its own copy of the earlier token pattern, kept to check the one-pass
+# integer parser against.
+
+_REF_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xy])|(?P<op>[*^+\-])|(?P<bad>\S))"
+)
 
 
 def _ref_rational(text: str, line: int, column: int | None = None) -> Fraction:
@@ -41,30 +47,39 @@ def _ref_capped(text: str, what: str, line: int, column: int) -> int:
     return int(value)
 
 
-def _tokens(text: str, line: int, offset: int):
-    """(kind, text, column) tokens; columns count from ``offset`` + 1."""
-    pos = 0
-    while pos < len(text):
-        match = dsl._TOKEN.match(text, pos)
-        if match is None:
-            break
-        bad = match.group("bad")
-        if bad:
-            raise DSLSyntaxError(f"unexpected character {bad!r}", line, offset + match.start("bad") + 1)
-        for kind in ("num", "var", "op"):
-            if match.group(kind):
-                yield kind, match.group(kind), offset + match.start(kind) + 1
+def _ref_numbered_lines(text: str):
+    """(number, text) of each line that holds more than blanks once its
+    comment is dropped, numbered from 1."""
+    lines = ((number, raw.split("#", 1)[0]) for number, raw in enumerate(text.splitlines(), start=1))
+    return [(number, line) for number, line in lines if line.strip()]
+
+
+def _tokens(lines, offset: int):
+    """(kind, text, line, column) tokens of ``(number, text)`` lines;
+    columns count from ``offset`` + 1."""
+    for line, text in lines:
+        pos = 0
+        while pos < len(text):
+            match = _REF_TOKEN.match(text, pos)
+            if match is None:
                 break
-        pos = match.end()
+            bad = match.group("bad")
+            if bad:
+                raise DSLSyntaxError(f"unexpected character {bad!r}", line, offset + match.start("bad") + 1)
+            for kind in ("num", "var", "op"):
+                if match.group(kind):
+                    yield kind, match.group(kind), line, offset + match.start(kind) + 1
+                    break
+            pos = match.end()
 
 
 class _ExprParser:
-    def __init__(self, text: str, line: int, offset: int = 0):
-        self.line = line
-        self.toks = list(_tokens(text, line, offset))
+    def __init__(self, lines, offset: int = 0):
+        self.line = lines[-1][0] if lines else 1  # where the input ends
+        self.toks = list(_tokens(lines, offset))
         self.pos = 0
         if not self.toks:
-            raise DSLSyntaxError("empty expression", line)
+            raise DSLSyntaxError("empty expression", self.line)
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -78,8 +93,7 @@ class _ExprParser:
 
     def fail(self, message: str):
         tok = self.peek()
-        col = tok[2] if tok else None
-        raise DSLSyntaxError(message, self.line, col)
+        raise DSLSyntaxError(message, *(tok[2:] if tok else (self.line,)))
 
     def parse_terms(self) -> dict[tuple[int, int], Fraction]:
         terms: dict[tuple[int, int], Fraction] = {}
@@ -110,7 +124,7 @@ class _ExprParser:
         if tok is None:
             self.fail("expected a term")
         if tok[0] == "num":
-            coeff = _ref_rational(tok[1], self.line, tok[2])
+            coeff = _ref_rational(tok[1], *tok[2:])
             saw_coeff = True
             self.next()
             tok = self.peek()
@@ -133,7 +147,7 @@ class _ExprParser:
                 tok = self.peek()
                 if tok is None or tok[0] != "num" or "/" in tok[1]:
                     self.fail("expected an integer exponent after '^'")
-                power = _ref_capped(tok[1], "exponent", self.line, tok[2])
+                power = _ref_capped(tok[1], "exponent", *tok[2:])
                 self.next()
             if var in powers:
                 self.fail(f"variable {var!r} repeated in one term")
@@ -151,7 +165,7 @@ class _ExprParser:
 
 
 def _reference_poly(text: str, line: int, offset: int) -> Poly:
-    terms = _ExprParser(text, line, offset).parse_terms()
+    terms = _ExprParser([(line, text)], offset).parse_terms()
     has_x = any(i for (i, _), c in terms.items() if c)
     has_y = any(j for (_, j), c in terms.items() if c)
     if has_x and has_y:
@@ -164,7 +178,7 @@ def _reference_poly(text: str, line: int, offset: int) -> Poly:
 
 
 def _reference_poly2(text: str) -> Poly2:
-    terms = _ExprParser(text, 1).parse_terms()
+    terms = _ExprParser(_ref_numbered_lines(text)).parse_terms()
     max_j = max((j for (_, j) in terms), default=0)
     slices = []
     for j in range(max_j + 1):
@@ -273,6 +287,12 @@ def sums(draw):
 
 expressions = st.one_of(pieces, sums())
 
+# Text over several lines, with blank lines and comments between pieces.
+LINE_PIECES = ["\n", "  # note\n"]
+lines_of_pieces = st.lists(
+    st.one_of(st.sampled_from(EXPRESSION_PIECES + LINE_PIECES), factors), max_size=12
+).map("".join)
+
 
 class TestAgainstReferenceParser:
     """The one-pass parser gives the reference parser's value or error."""
@@ -283,7 +303,7 @@ class TestAgainstReferenceParser:
         assert _outcome(dsl.parse_poly, text, line, offset) == _outcome(_reference_poly, text, line, offset)
 
     @settings(max_examples=400, deadline=None)
-    @given(expressions)
+    @given(st.one_of(lines_of_pieces, sums()))
     def test_poly2(self, text):
         assert _outcome(dsl.parse_poly2, text) == _outcome(_reference_poly2, text)
 

@@ -435,16 +435,29 @@ numerator_ops = st.one_of(
 ).map(lambda arrays: list(_trim([list(_trim(x)) for x in arrays])))
 
 
+def _commute_reference(a, b):
+    """a o b - b o a over r >= 1 from two triple loops, entrywise and
+    trimmed; a degree cap error of the (a, b) loop comes first."""
+    pairs = itertools.zip_longest(_leibniz_reference(a, b, 1), _leibniz_reference(b, a, 1), fillvalue=[])
+    out = [list(_trim([x - y for x, y in itertools.zip_longest(p, q, fillvalue=0)])) for p, q in pairs]
+    return list(_trim(out))
+
+
 class TestLeibnizKernel:
     @settings(max_examples=300, deadline=None)
-    @given(numerator_ops, numerator_ops, st.sampled_from((0, 1)), st.integers(4, 40))
-    @example([[1] * 9] * 9, [[-1, 1] * 4 + [-1]] * 9, 0, 40)
-    @example([[], [0, 0, 0, 5]], [[0, 0, 0, 7]], 1, 4)  # r = 0 is not formed: (5, 4) from r = 1
-    def test_matches_triple_loop(self, a, b, first, cap):
+    @given(numerator_ops, numerator_ops, st.booleans(), st.integers(4, 40))
+    @example([[1] * 9] * 9, [[-1, 1] * 4 + [-1]] * 9, False, 40)
+    @example([[], [0, 0, 0, 5]], [[0, 0, 0, 7]], True, 4)  # r = 0 is not formed: (5, 4) from r = 1
+    @example([[1] * 9], [[], [2, 1]], True, 4)  # only (b, a) has a product, b_1 a_0', of degree 8
+    def test_matches_triple_loop(self, a, b, commute, cap):
         # Results and degree cap errors of the packed kernel against the
-        # triple loop over (i, j, r).
+        # triple loop over (i, j, r): one loop for a o b, and in commute
+        # mode the difference of the loops for a o b and b o a at r >= 1.
         with degree_cap(cap):
-            assert _outcome(_leibniz, a, b, first) == _outcome(_leibniz_reference, a, b, first)
+            if commute:
+                assert _outcome(_leibniz, a, b, True) == _outcome(_commute_reference, a, b)
+            else:
+                assert _outcome(_leibniz, a, b, False) == _outcome(_leibniz_reference, a, b, 0)
 
     @pytest.mark.parametrize(
         "combine,digest",
