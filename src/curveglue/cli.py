@@ -10,26 +10,17 @@ Exit status: 0 success/admissible, 1 well-formed input failing a check,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
 from . import dsl
 from .errors import AdmissibilityError, CurveGlueError
 from .glued import SpaceSpec, extend_to_plane, restrict_to_branches
-from .operators import (
-    BranchOp,
-    check_admissible,
-    default_probe_degree,
-    generate_conditions,
-    make_pair,
-    pair_commutator,
-    pair_compose,
-    probe_admissible,
-)
 from .poly import Poly, degree_cap, get_degree_cap, poly2_str, rational_str
-from .spectra import char_eval, nullity_identity_check, separating_witness
-from .symbols import pair_symbol, poisson_bracket
+
+if TYPE_CHECKING:
+    from .operators import BranchOp
 
 _SPACE = re.compile(r"^K(\d+)$")
 
@@ -87,6 +78,7 @@ def _emit(args, lines, space, verdict="pass", *, result=None, order=None, report
         payload["probe"] = probe
     if result is not None:
         payload["result"] = result
+    import json  # only --json output needs it
     print(json.dumps(payload, indent=2))
 
 
@@ -104,6 +96,7 @@ def _load_two(paths: list[str], parse_many):
 
 
 def _cmd_check(args) -> int:
+    from .operators import check_admissible, default_probe_degree, probe_admissible
     pair = dsl.parse_paired(_read(args.file))
     order = args.order if args.order is not None else pair.declared_order
     depth = None
@@ -138,6 +131,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_combine(args) -> int:
+    from .operators import make_pair, pair_commutator, pair_compose
     parsed = _load_two(args.files, dsl.parse_many_paired)
     a, b = (make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed)
     pair = (pair_compose if args.verb == "compose" else pair_commutator)(a, b)
@@ -163,6 +157,8 @@ def _emit_symbol(args, sym) -> int:
 
 
 def _cmd_symbol(args) -> int:
+    from .operators import make_pair
+    from .symbols import pair_symbol
     parsed = dsl.parse_paired(_read(args.file))
     order = args.degree if args.degree is not None else parsed.declared_order
     return _emit_symbol(args, pair_symbol(make_pair(parsed.d1, parsed.d2, args.space, order)))
@@ -173,11 +169,13 @@ def _parse_symbols_text(text: str):
 
 
 def _cmd_bracket(args) -> int:
+    from .symbols import poisson_bracket
     symbols = _load_two(args.files, _parse_symbols_text)
     return _emit_symbol(args, poisson_bracket(symbols[0], symbols[1]))
 
 
 def _cmd_conditions(args) -> int:
+    from .operators import generate_conditions
     rendered = list(generate_conditions(args.space, args.order).rendered)
     _emit(args, rendered, args.space, result={"constraints": rendered}, order=args.order)
     return 0
@@ -215,6 +213,7 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .spectra import char_eval, separating_witness
     lines = dsl._numbered_lines(_read(args.file))
     if len(lines) != 2:
         raise CurveGlueError(f"expected two character lines, found {len(lines)}")
@@ -235,6 +234,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_nullity(args) -> int:
+    from .spectra import nullity_identity_check
     checks = nullity_identity_check(args.space)
     all_ok = all(c.passed for c in checks)
     lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in checks]
@@ -244,15 +244,58 @@ def _cmd_nullity(args) -> int:
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each verb: its handler, help, whether it takes --space, and its own arguments.
+_VERBS = {
+    "check": (_cmd_check, "check admissibility of a paired operator", True, [
+        (["file"], {"help": "paired-operator file or '-' for stdin"}),
+        (["--order"], {"type": int, "default": None}),
+        (["--probe-depth"], {
+            "type": int, "nargs": "?", "const": 0, "default": None, "metavar": "D",
+            "help": "also run the brute-force probe, D >= order + m (0 or no value = default depth)",
+        }),
+    ]),
+    **{verb: (_cmd_combine, f"{verb} of two admissible pairs", True, [
+        (["files"], {"nargs": "+", "help": "one file with two pairs, or two files"}),
+    ]) for verb in ("compose", "commutator")},
+    "symbol": (_cmd_symbol, "symbol of an admissible pair", True, [
+        (["file"], {}), (["--degree"], {"type": int, "default": None}),
+    ]),
+    "bracket": (_cmd_bracket, "Poisson bracket of two symbols", False, [
+        (["files"], {"nargs": "+", "help": "one file with two symbols, or two files"}),
+    ]),
+    "conditions": (_cmd_conditions, "print the admissibility conditions", True, [
+        (["--order"], {"type": int, "required": True}),
+    ]),
+    "extend": (_cmd_extend, "extend a glued pair to the plane", False, [
+        (["file"], {}),
+        (["--embed"], {"default": None, "metavar": "POLY",
+                       "help": "embedding profile h (default x^(m+1))"}),
+    ]),
+    "restrict": (_cmd_restrict, "restrict a plane polynomial to the branches", True, [
+        (["file"], {}), (["--embed"], {"default": None, "metavar": "POLY"}),
+    ]),
+    "witness": (_cmd_witness, "separating witness for two characters", True, [
+        (["file"], {"help": "file with two 'char' lines"}),
+    ]),
+    "nullity": (_cmd_nullity, "verify the symbol-character nullity identities", True, []),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with ``only`` of that verb alone: a call
+    that names its verb builds one subparser.  The usage line lists every
+    verb either way; the full build keeps argparse's own wording for a
+    missing or unknown verb."""
     parser = argparse.ArgumentParser(
         prog="curveglue",
         description="Exact calculus on two curves glued with contact of order m",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add(name, func, space=True, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    metavar = None if only is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
+    for name, (func, summary, space, arguments) in _VERBS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit structured JSON")
         p.add_argument(
@@ -264,48 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if space:
             p.add_argument("--space", type=_space_arg, required=True)
-        return p
-
-    p = add("check", _cmd_check, help="check admissibility of a paired operator")
-    p.add_argument("file", help="paired-operator file or '-' for stdin")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument(
-        "--probe-depth",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        metavar="D",
-        help="also run the brute-force probe, D >= order + m (0 or no value = default depth)",
-    )
-
-    for verb in ("compose", "commutator"):
-        p = add(verb, _cmd_combine, help=f"{verb} of two admissible pairs")
-        p.add_argument("files", nargs="+", help="one file with two pairs, or two files")
-
-    p = add("symbol", _cmd_symbol, help="symbol of an admissible pair")
-    p.add_argument("file")
-    p.add_argument("--degree", type=int, default=None)
-
-    p = add("bracket", _cmd_bracket, space=False, help="Poisson bracket of two symbols")
-    p.add_argument("files", nargs="+", help="one file with two symbols, or two files")
-
-    p = add("conditions", _cmd_conditions, help="print the admissibility conditions")
-    p.add_argument("--order", type=int, required=True)
-
-    p = add("extend", _cmd_extend, space=False, help="extend a glued pair to the plane")
-    p.add_argument("file")
-    p.add_argument("--embed", default=None, metavar="POLY", help="embedding profile h (default x^(m+1))")
-
-    p = add("restrict", _cmd_restrict, help="restrict a plane polynomial to the branches")
-    p.add_argument("file")
-    p.add_argument("--embed", default=None, metavar="POLY")
-
-    p = add("witness", _cmd_witness, help="separating witness for two characters")
-    p.add_argument("file", help="file with two 'char' lines")
-
-    add("nullity", _cmd_nullity, help="verify the symbol-character nullity identities")
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
@@ -328,7 +331,8 @@ def _check_sizes(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _VERBS else None).parse_args(argv)
     try:
         with degree_cap(args.max_degree or get_degree_cap()):
             _check_sizes(args)

@@ -28,14 +28,16 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DSLSyntaxError, JetMismatch
 from .glued import GluedFunction, SpaceSpec, make_glued
-from .operators import BranchOp
 from .poly import ZERO, Poly, Poly2, _poly, get_degree_cap, poly_str, rational_str
-from .spectra import Character, make_character
-from .symbols import SymbolElem, make_symbol
+
+if TYPE_CHECKING:  # the parsers import these on use, so a call loads only what it reads
+    from .operators import BranchOp
+    from .spectra import Character
+    from .symbols import SymbolElem
 
 _TOKEN = re.compile(r"\d+(?:/\d+)?|[xy]|[*^+\-]|\S")
 
@@ -210,6 +212,7 @@ def parse_glued(text: str, line: int = 1) -> GluedFunction:
 
 
 def parse_symbol(text: str, line: int = 1) -> SymbolElem:
+    from .symbols import make_symbol
     match = _SYMBOL.match(_strip(text))
     if not match:
         raise DSLSyntaxError("expected 'symbol deg=<INT> m=<INT>: <poly> | <poly>'", line)
@@ -218,6 +221,7 @@ def parse_symbol(text: str, line: int = 1) -> SymbolElem:
 
 
 def parse_char(text: str, line: int = 1) -> Character:
+    from .spectra import make_character
     match = _CHAR.match(_strip(text))
     if not match:
         raise DSLSyntaxError("expected 'char branch=<1|2|sing> at=<rational>'", line)
@@ -235,7 +239,7 @@ class ParsedPair(NamedTuple):
     declared_order: int
 
 
-def _parse_op_block(lines: list, index: int) -> tuple[tuple[BranchOp, int], int]:
+def _parse_op_block(lines: list, index: int) -> tuple[tuple[list[Poly], int], int]:
     if index >= len(lines):
         raise DSLSyntaxError("expected 'op order=<INT>' after this line", lines[-1][0])
     number, line = lines[index]
@@ -258,11 +262,11 @@ def _parse_op_block(lines: list, index: int) -> tuple[tuple[BranchOp, int], int]
             raise DSLSyntaxError(f"coefficient {i} given twice", number)
         coeffs[i] = parse_poly(match.group(2), number, match.start(2))
         index += 1
-    op = BranchOp.of(*(coeffs.get(i, ZERO) for i in range(order + 1)))
-    return (op, order), index
+    return ([coeffs.get(i, ZERO) for i in range(order + 1)], order), index
 
 
 def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
+    from .operators import BranchOp  # once per pair, not per block
     blocks = []
     for expected in ("x", "y"):
         if index >= len(lines):
@@ -273,8 +277,8 @@ def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
             raise DSLSyntaxError(f"expected 'branch {expected}'", number)
         block, index = _parse_op_block(lines, index + 1)
         blocks.append(block)
-    (d1, order1), (d2, order2) = blocks
-    return ParsedPair(d1, d2, max(order1, order2)), index
+    (c1, order1), (c2, order2) = blocks
+    return ParsedPair(BranchOp.of(*c1), BranchOp.of(*c2), max(order1, order2)), index
 
 
 def parse_paired(text: str) -> ParsedPair:

@@ -10,11 +10,13 @@ of y = 0 and y = h(x).
 
 from __future__ import annotations
 
-import random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EmbeddingError, JetMismatch, SpaceMismatch
 from .poly import Poly, Poly2, _poly
+
+if TYPE_CHECKING:  # annotations only: the caller passes the generator
+    import random
 
 
 class SpaceSpec(NamedTuple("SpaceSpec", [("m", int)])):

@@ -11,12 +11,15 @@ per row.  Used by the test suite and handy for experiments.
 from __future__ import annotations
 
 import math
-import random
+from typing import TYPE_CHECKING
 
 from .glued import SpaceSpec, with_random_tail
 from .operators import BranchOp, ConditionSet, PairedOp, _column, generate_conditions
 from .poly import _poly
 from .symbols import SymbolElem, symbol_conditions
+
+if TYPE_CHECKING:  # annotations only: the caller passes the generator
+    import random
 
 
 def solve_homogeneous(conditions: ConditionSet, rng: random.Random) -> tuple[list[int], int]:

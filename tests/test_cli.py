@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveglue import dsl
-from curveglue.cli import main
+from curveglue.cli import build_parser, main
 from curveglue.glued import SpaceSpec
 from curveglue.operators import default_probe_degree, generate_conditions
 from curveglue.poly import get_degree_cap
@@ -701,18 +701,32 @@ def test_mutated_data_ends_in_an_exit_status(text):
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    """Start-up guard: importing the CLI loads neither module, whose import
-    costs every CLI call.  ``-S`` keeps installed ``.pth`` files out."""
-    code = "import curveglue.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """Start-up guard: importing the CLI loads none of these modules, whose
+    import (and, without cached bytecode, compilation) costs every CLI call;
+    each verb imports the algebra it uses.  ``-S`` keeps installed ``.pth``
+    files out."""
+    unused = {"dataclasses", "inspect", "json", "random", "curveglue.operators",
+              "curveglue.symbols", "curveglue.spectra", "curveglue.sampling"}
+    code = f"import curveglue.cli, sys; print(sorted(set({sorted(unused)!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env={**os.environ, "PYTHONPATH": str(HERE.parent / "src")},
-        capture_output=True,
-        text=True,
-        timeout=60,
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+    # A whole call imports only its verb's modules.
+    for argv, unused in [
+        (["extend", DATA / "glued_linear_K1.txt"], "curveglue.operators"),
+        (["conditions", "--space", "K1", "--order", "2"], "curveglue.spectra"),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-S", "-X", "importtime", "-m", "curveglue.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+        assert "curveglue.dsl" in imported, done.stderr
+        assert unused not in imported, argv
 
 
 def test_cli_runs_as_a_process():
@@ -735,3 +749,52 @@ def test_cli_runs_as_a_process():
     done = cli("check", "-", "--space", "K1", stdin="branch q\n")
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: expected 'branch x' at line 1\n"
+
+
+VERBS = ("check", "compose", "commutator", "symbol", "bracket",
+         "conditions", "extend", "restrict", "witness", "nullity")
+
+
+def parser_exit(parse, argv):
+    """Exit status, stdout and stderr of ``parse(argv)``, which exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestParserParity:
+    """A call that names its verb builds that verb's subparser alone, and
+    must print what the full parser prints."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_one_verb_build_prints_the_full_build_help(self, verb):
+        one, full = build_parser(verb), build_parser()
+        assert one.format_usage() == full.format_usage()
+        assert "{" + ",".join(VERBS) + "}" in full.format_usage()
+        status, out, err = parser_exit(one.parse_args, [verb, "-h"])
+        assert (status, out, err) == parser_exit(full.parse_args, [verb, "-h"])
+        assert (status, err) == (0, "") and out.startswith(f"usage: curveglue {verb} ")
+
+    @pytest.mark.parametrize(
+        "argv,error",
+        [
+            ([], "curveglue: error: the following arguments are required: verb"),
+            (["bogus"], "curveglue: error: argument verb: invalid choice: 'bogus' (choose from "),
+            (["nullity", "--space", "K0", "stray"], "curveglue: error: unrecognized arguments: stray"),
+            (["conditions", "--space", "K1"],
+             "curveglue conditions: error: the following arguments are required: --order"),
+            (["compose", "--space", "K1"],
+             "curveglue compose: error: the following arguments are required: files"),
+        ],
+        ids=["no-verb", "unknown-verb", "stray-argument", "missing-option", "missing-file"],
+    )
+    def test_argparse_errors(self, argv, error):
+        status, out, err = parser_exit(main, argv)
+        assert (status, out) == (2, "")
+        assert err.splitlines()[-1].startswith(error)
+        assert (status, out, err) == parser_exit(build_parser().parse_args, argv)
