@@ -3,8 +3,10 @@
 Subcommand per operation; reads DSL blocks from file arguments or stdin
 ('-'), writes human-readable text or machine-readable JSON (--json).
 
-Exit status: 0 success/admissible, 1 well-formed input failing a check,
-2 malformed or invalid input.
+Each verb's handler returns its output, ``(lines, space, verdict, fields)``,
+and :func:`main` prints it and maps the verdict to the exit status: 1 for
+``inadmissible`` or ``fail`` (well-formed input failing a check), else 0;
+2 for malformed or invalid input.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def _op_coeffs(op: BranchOp) -> list[list[str]]:
     return [_poly_coeffs(c) for c in op.coeffs]
 
 
-def _emit(args, lines, space, verdict="pass", *, result=None, order=None, report=None, probe=None):
+def _emit(args, lines, space, verdict, *, result=None, order=None, report=None, probe=None):
     """Print the text lines, or with --json the payload every verb shares:
     verb, space, [order,] verdict, violations, then [probe] and [result]."""
     if not args.json:
@@ -95,7 +97,7 @@ def _load_two(paths: list[str], parse_many):
     return items
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     from .operators import check_admissible, default_probe_degree, probe_admissible
     pair = dsl.parse_paired(_read(args.file))
     order = args.order if args.order is not None else pair.declared_order
@@ -126,66 +128,62 @@ def _cmd_check(args) -> int:
         probed = probe_admissible(pair.d1, pair.d2, args.space, depth)
         probe = {"depth": depth, "verdict": "admissible" if probed else "inadmissible"}
         lines.append(f"probe (depth {depth}): " + ("admissible" if probed else "NOT admissible"))
-    _emit(args, lines, args.space, verdict, order=order, report=report, probe=probe)
-    return 0 if report.ok else 1
+    return lines, args.space, verdict, {"order": order, "report": report, "probe": probe}
 
 
-def _cmd_combine(args) -> int:
+def _cmd_combine(args):
     from .operators import make_pair, pair_commutator, pair_compose
     parsed = _load_two(args.files, dsl.parse_many_paired)
     a, b = (make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed)
     pair = (pair_compose if args.verb == "compose" else pair_commutator)(a, b)
     text = dsl.render_paired(pair)
-    _emit(args, [text], pair.space, "admissible", result={
+    return [text], pair.space, "admissible", {"result": {
         "order": pair.order,
         "branch_x": _op_coeffs(pair.d1),
         "branch_y": _op_coeffs(pair.d2),
         "dsl": text,
-    })
-    return 0
+    }}
 
 
-def _emit_symbol(args, sym) -> int:
+def _symbol_output(sym):
     text = dsl.render_symbol(sym)
-    _emit(args, [text], sym.space, result={
+    return [text], sym.space, "pass", {"result": {
         "degree": sym.degree,
         "a": _poly_coeffs(sym.a),
         "b": _poly_coeffs(sym.b),
         "dsl": text,
-    })
-    return 0
+    }}
 
 
-def _cmd_symbol(args) -> int:
+def _cmd_symbol(args):
     from .operators import make_pair
     from .symbols import pair_symbol
     parsed = dsl.parse_paired(_read(args.file))
     order = args.degree if args.degree is not None else parsed.declared_order
-    return _emit_symbol(args, pair_symbol(make_pair(parsed.d1, parsed.d2, args.space, order)))
+    return _symbol_output(pair_symbol(make_pair(parsed.d1, parsed.d2, args.space, order)))
 
 
 def _parse_symbols_text(text: str):
     return [dsl.parse_symbol(line, number) for number, line in dsl._numbered_lines(text)]
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args):
     from .symbols import poisson_bracket
     symbols = _load_two(args.files, _parse_symbols_text)
-    return _emit_symbol(args, poisson_bracket(symbols[0], symbols[1]))
+    return _symbol_output(poisson_bracket(symbols[0], symbols[1]))
 
 
-def _cmd_conditions(args) -> int:
+def _cmd_conditions(args):
     from .operators import generate_conditions
     rendered = list(generate_conditions(args.space, args.order).rendered)
-    _emit(args, rendered, args.space, result={"constraints": rendered}, order=args.order)
-    return 0
+    return rendered, args.space, "pass", {"result": {"constraints": rendered}, "order": args.order}
 
 
 def _embed_poly(args) -> Poly | None:
     return dsl.parse_poly(args.embed) if args.embed is not None else None
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args):
     lines = dsl._numbered_lines(_read(args.file))
     if len(lines) != 1:
         raise CurveGlueError(f"expected one pair line, found {len(lines)}")
@@ -193,26 +191,24 @@ def _cmd_extend(args) -> int:
     glued = dsl.parse_glued(line, number)
     surface = extend_to_plane(glued, _embed_poly(args))
     text = poly2_str(surface)
-    _emit(args, [text], glued.space, result={
+    return [text], glued.space, "pass", {"result": {
         "slices": [_poly_coeffs(s) for s in surface.slices],
         "dsl": text,
-    })
-    return 0
+    }}
 
 
-def _cmd_restrict(args) -> int:
+def _cmd_restrict(args):
     surface = dsl.parse_poly2(_read(args.file))
     glued = restrict_to_branches(surface, _embed_poly(args), args.space)
     text = dsl.render_glued(glued)
-    _emit(args, [text], args.space, result={
+    return [text], args.space, "pass", {"result": {
         "f": _poly_coeffs(glued.f),
         "g": _poly_coeffs(glued.g),
         "dsl": text,
-    })
-    return 0
+    }}
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
     from .spectra import char_eval, separating_witness
     lines = dsl._numbered_lines(_read(args.file))
     if len(lines) != 2:
@@ -229,19 +225,17 @@ def _cmd_witness(args) -> int:
             "witness": text,
             "values": [rational_str(*char_eval(c, witness).as_integer_ratio()) for c in (c1, c2)],
         }
-    _emit(args, [text], args.space, result=result)
-    return 0
+    return [text], args.space, "pass", {"result": result}
 
 
-def _cmd_nullity(args) -> int:
+def _cmd_nullity(args):
     from .spectra import nullity_identity_check
     checks = nullity_identity_check(args.space)
     all_ok = all(c.passed for c in checks)
     lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in checks]
-    _emit(args, lines, args.space, "pass" if all_ok else "fail", result={
+    return lines, args.space, "pass" if all_ok else "fail", {"result": {
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks]
-    })
-    return 0 if all_ok else 1
+    }}
 
 
 # Each verb: its handler, help, whether it takes --space, and its own arguments.
@@ -336,7 +330,9 @@ def main(argv=None) -> int:
     try:
         with degree_cap(args.max_degree or get_degree_cap()):
             _check_sizes(args)
-            return args.func(args)
+            lines, space, verdict, fields = args.func(args)
+            _emit(args, lines, space, verdict, **fields)
+        return 1 if verdict in ("inadmissible", "fail") else 0
     except AdmissibilityError as exc:
         # A well-formed pair that fails the conditions (compose, commutator, symbol).
         print(f"error: {exc}", file=sys.stderr)

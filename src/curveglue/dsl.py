@@ -56,11 +56,10 @@ def _rational(text: str, error) -> tuple[int, int]:
     return num, den
 
 
-def _capped(text: str, what: str, error) -> int:
+def _capped(text: str, what: str, error, cap: int) -> int:
     """An integer that sizes the problem (exponent, contact order, degree,
-    operator order), at most the degree cap."""
+    operator order), at most the degree cap ``cap``, read once by the caller."""
     value = _rational(text, error)[0]
-    cap = get_degree_cap()
     if value > cap:
         raise error(f"{what} {value} exceeds the degree cap {cap}")
     return value
@@ -73,7 +72,7 @@ def _terms(lines, offset: int = 0) -> tuple[dict[tuple[int, int], int], int]:
     grammar walks the token strings of one ``findall`` per line; only an
     error finds lines and columns, from the lines again.  Error columns
     count from ``offset`` + 1, and errors at the end of input have none."""
-    toks, number = [], 1
+    toks, number, cap = [], 1, get_degree_cap()
     for number, text in lines:
         toks += _TOKEN.findall(text)
     if not toks:
@@ -116,7 +115,7 @@ def _terms(lines, offset: int = 0) -> tuple[dict[tuple[int, int], int], int]:
                 text = toks[i]
                 if not text[:1].isdecimal() or "/" in text:
                     raise error("expected an integer exponent after '^'")
-                power = _capped(text, "exponent", error)
+                power = _capped(text, "exponent", error, cap)
                 i += 1
             if var in powers:
                 raise error(f"variable {var!r} repeated in one term")
@@ -185,7 +184,7 @@ _SIZES = {"m": "contact order", "deg": "degree", "order": "order"}
 def _size(match: re.Match, group: str, line: int) -> int:
     """A header field that sizes the problem, at most the degree cap."""
     error = partial(DSLSyntaxError, line=line, column=match.start(group) + 1)
-    return _capped(match.group(group), _SIZES[group], error)
+    return _capped(match.group(group), _SIZES[group], error, get_degree_cap())
 
 
 def _branch_polys(match: re.Match, line: int) -> tuple[Poly, Poly]:

@@ -33,9 +33,9 @@ from functools import lru_cache
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import AdmissibilityError, ClosureBugError, DegreeCapExceeded, OrderError
+from .errors import AdmissibilityError, ClosureBugError, OrderError
 from .glued import GluedFunction, SpaceSpec, make_glued, same_space
-from .poly import NEG_INF, ZERO, Poly, _poly, _trim, get_degree_cap, signed_sum
+from .poly import NEG_INF, ZERO, Poly, _check_cap, _poly, _trim, get_degree_cap, signed_sum
 
 # ---------------------------------------------------------------------------
 # Branch operators
@@ -98,15 +98,11 @@ def _nums(op: BranchOp) -> tuple[list[list[int]], int]:
 def _apply(a: list[list[int]], f: Poly, top: int | None = None) -> list[int]:
     """D f for D given by integer numerator arrays ``a`` over a denominator e:
     its numerators over e * f.den, all or up to x^top, where a term c x^n of f
-    adds c n!/(n-i)! a_i[t-n+i] at x^t.  Whole, it raises DegreeCapExceeded as
-    the walk over a_i f^(i) would, for the first nonzero product past the cap."""
+    adds c n!/(n-i)! a_i[t-n+i] at x^t.  Whole, ``top`` is what the cap guard
+    ``_check_cap`` returns on the degrees of the nonzero a_i f^(i), i ascending."""
     nums = f.nums
     if top is None:
-        cap, top = get_degree_cap(), -1
-        for degree in (len(ai) + len(nums) - i - 2 for i, ai in enumerate(a[:len(nums)]) if ai):
-            if degree > cap:
-                raise DegreeCapExceeded(degree, cap)
-            top = max(top, degree)
+        top = _check_cap(len(ai) + len(nums) - i - 2 for i, ai in enumerate(a[:len(nums)]) if ai)
     out = [0] * (top + 1)
     for n, c in enumerate(nums[:top + len(a)]):
         if c:
@@ -146,17 +142,14 @@ def _leibniz(a: list[list[int]], b: list[list[int]], commute: bool) -> list[list
     and orders that bound is below 2^(w-1), so adding 2^(w-1) to every digit
     of the total puts each in [0, 2^w), where one shift and mask reads it.
 
-    For each (i, j) the product r = first has the highest degree, so
-    :class:`DegreeCapExceeded` for the first product above the cap, in the
-    order i, j, r ascending and (a, b) before (b, a), comes from the lengths."""
+    For each (i, j) the product r = first has the highest degree, so the cap
+    guard ``_check_cap`` gets those, i then j ascending and (a, b) before (b, a)."""
     first = 1 if commute else 0
-    cap, la, lb = get_degree_cap(), max(map(len, a), default=0), max(map(len, b), default=0)
+    la, lb = max(map(len, a), default=0), max(map(len, b), default=0)
     orders = ((a, b, la, lb, 1), (b, a, lb, la, -1))[:first + 1]  # p o q, longest lengths, sign
-    if la + lb - 2 - first > cap:  # some product may pass the cap
-        for degree in (len(pi) + len(qj) - 2 - first
-                       for p, q, *_ in orders for pi in p[first:] if pi for qj in q if len(qj) > first):
-            if degree > cap:
-                raise DegreeCapExceeded(degree, cap)
+    if la + lb - 2 - first > get_degree_cap():  # some product may pass the cap
+        _check_cap(len(pi) + len(qj) - 2 - first
+                   for p, q, *_ in orders for pi in p[first:] if pi for qj in q if len(qj) > first)
     bound = sum(min(len(p) - r, len(q)) * min(lp, lq - r) * math.comb(len(p) - 1, r) * math.perm(lq - 1, r)
                 for p, q, lp, lq, _ in orders for r in range(first, min(len(p), lq)))
     if not bound:  # no r with a product
@@ -207,15 +200,12 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     scale a_i by i(i-1)...(i-k), zero exactly when i <= k, so the chain
     vanishes exactly when ``op.coeffs`` has at most k + 1 entries.  With
     probe_degree < 1 there is no chain, so any k >= 0 passes.  A step keeps
-    coefficient degrees, so :class:`DegreeCapExceeded` is raised, for the
-    first i >= 1 ascending, only when k >= 0 and some a_i with i >= 1 is
-    already above the cap."""
-    if k >= 0 and probe_degree < 1:
-        return True
-    cap = get_degree_cap()
-    for degree in (len(a.nums) - 1 for a in op.coeffs[1:] if k >= 0):
-        if degree > cap:
-            raise DegreeCapExceeded(degree, cap)
+    coefficient degrees, so with k >= 0 the cap guard ``_check_cap`` refuses
+    only an a_i, i >= 1, already past the cap, the first in ascending i."""
+    if k >= 0:
+        if probe_degree < 1:
+            return True
+        _check_cap(len(a.nums) - 1 for a in op.coeffs[1:])
     return len(op.coeffs) <= k + 1
 
 

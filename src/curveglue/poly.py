@@ -51,6 +51,19 @@ def degree_cap(cap: int):
         _degree_cap.reset(token)
 
 
+def _check_cap(degrees) -> int:
+    """The largest of ``degrees``, -1 if there is none.  The first degree
+    past the cap raises :class:`DegreeCapExceeded`: the one refusal of the
+    cap, which every capped operation calls."""
+    cap, top = _degree_cap.get(), -1
+    for degree in degrees:
+        if degree > cap:
+            raise DegreeCapExceeded(degree, cap)
+        if degree > top:
+            top = degree
+    return top
+
+
 def frac(value) -> Fraction:
     """Coerce ints, strings like '3/2' and Fractions to Fraction."""
     if isinstance(value, Fraction):
@@ -155,10 +168,7 @@ class Poly(NamedTuple):
         a, b = self.nums, other.nums
         if not a or not b:
             return ZERO
-        deg = len(a) + len(b) - 2
-        cap = _degree_cap.get()
-        if deg > cap:
-            raise DegreeCapExceeded(deg, cap)
+        deg = _check_cap((len(a) + len(b) - 2,))
         out = [0] * (deg + 1)
         for i, x in enumerate(a):
             if x:

@@ -156,6 +156,7 @@ def test_json_corpus_shares_payload_shape(capsys, golden, status, argv):
     got, captured = run(capsys, *argv, "--json")
     payload = json.loads(captured.out)
     assert got == status
+    assert status == (1 if payload["verdict"] in ("inadmissible", "fail") else 0)
     assert list(payload)[:2] == ["verb", "space"]
     assert payload["verb"] == argv[0]
     assert isinstance(payload["verdict"], str)
@@ -248,6 +249,21 @@ class TestExitStatusContract:
         assert status == 1
         assert captured.out == ""
         assert captured.err == "error: operator pair is not admissible: b1(0) = 0; a1(0) = 0\n"
+
+    EULER = "branch x\nop order=1\ncoeff 1: x\n"
+
+    @pytest.mark.parametrize("text, argv, error", [
+        ("", ["compose", *[DATA / "pair_euler_K1.txt"] * 3, "--space", "K1"],
+         "expected one or two input files"),
+        (EULER + "coeff 1: x\nbranch y\nop order=1\ncoeff 1: y\n", ["check", "-", "--space", "K1"],
+         "coefficient 1 given twice at line 4"),
+        (EULER, ["check", "-", "--space", "K1"], "missing 'branch y' block at line 3"),
+        ("# only\n\n  # comments\n", ["check", "-", "--space", "K1"],
+         "empty paired-operator input at line 1"),
+    ], ids=["three-files", "coeff-twice", "no-branch-y", "only-comments"])
+    def test_malformed_input_names_its_fault(self, capsys, monkeypatch, text, argv, error):
+        status, captured = run_stdin(capsys, monkeypatch, text, *argv)
+        assert (status, captured.out, captured.err) == (2, "", f"error: {error}\n")
 
     def test_stdin_input(self, capsys, monkeypatch):
         status, captured = run_stdin(capsys, monkeypatch, "pair m=0: x | 0\n", "extend", "-")
@@ -790,8 +806,10 @@ class TestParserParity:
              "curveglue conditions: error: the following arguments are required: --order"),
             (["compose", "--space", "K1"],
              "curveglue compose: error: the following arguments are required: files"),
+            (["check", "pair.txt", "--space", "X1"],
+             "curveglue check: error: argument --space: space must look like K0, K1, ..., got 'X1'"),
         ],
-        ids=["no-verb", "unknown-verb", "stray-argument", "missing-option", "missing-file"],
+        ids=["no-verb", "unknown-verb", "stray-argument", "missing-option", "missing-file", "bad-space"],
     )
     def test_argparse_errors(self, argv, error):
         status, out, err = parser_exit(main, argv)

@@ -1,17 +1,19 @@
 """Exact polynomial layer: arithmetic, jets, Hadamard splitting, division."""
 
+import ast
 import math
 import random
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curveglue.errors import CurveGlueError, DegreeCapExceeded, ExactDivisionError
-from curveglue.poly import Poly, degree_cap, frac, get_degree_cap, rational_str
+from curveglue.poly import ZERO, Poly, degree_cap, frac, get_degree_cap, rational_str, set_degree_cap
 
 X = Poly.monomial(1)
 
@@ -46,6 +48,11 @@ class TestArithmetic:
         with degree_cap(4):
             with pytest.raises(DegreeCapExceeded):
                 Poly.monomial(3) * Poly.monomial(3)
+
+    def test_nonpositive_cap_rejected(self):
+        with pytest.raises(ValueError, match="degree cap must be positive"):
+            set_degree_cap(0)
+        assert get_degree_cap() == 32
 
     def test_degree_cap_scopes_are_per_thread(self):
         barrier = threading.Barrier(2, timeout=10)
@@ -190,6 +197,10 @@ class TestHadamardSplit:
             with pytest.raises(ValueError):
                 build()
 
+    def test_nonpositive_order_rejected(self):
+        with pytest.raises(ValueError, match="split order must be positive"):
+            Poly.of(1, 2).hadamard_split(0)
+
     @settings(max_examples=150)
     @given(polys(8), st.integers(min_value=1, max_value=6))
     def test_roundtrip(self, p, r):
@@ -204,6 +215,10 @@ class TestDivideExact:
 
     def test_zero_numerator(self):
         assert Poly.of().divide_exact(X) == Poly.of()
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+            X.divide_exact(ZERO)
 
     def test_indivisible_reports_remainder(self):
         with pytest.raises(ExactDivisionError) as err:
@@ -406,3 +421,22 @@ class TestRationalStr:
         for num, den in ((10 ** limit, 1), (1, 10 ** limit), (-(10 ** limit), 7)):
             with pytest.raises(CurveGlueError, match=f"more than {limit} digits"):
                 rational_str(num, den)
+
+
+def _cap_refusals(tree) -> list[int]:
+    """The lines of the ``DegreeCapExceeded(...)`` calls under an AST node."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "DegreeCapExceeded" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def test_cap_refusal_is_built_only_in_the_poly_guard():
+    # One code path refuses a degree past the cap: poly._check_cap, which
+    # every capped operation calls, builds the package's one DegreeCapExceeded.
+    src = Path(__file__).parents[1] / "src" / "curveglue"
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    guard = next(node for node in trees["poly"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_check_cap")
+    assert len(_cap_refusals(guard)) == 1
+    assert {stem: _cap_refusals(tree) for stem, tree in trees.items() if _cap_refusals(tree)} == {
+        "poly": _cap_refusals(guard)
+    }

@@ -40,6 +40,10 @@ class TestCharEval:
     def test_branch_origin_canonicalizes(self):
         assert make_character(1, 0) == make_character(2, 0) == make_character(SINGULAR, 0)
 
+    def test_unknown_branch_rejected(self):
+        with pytest.raises(ValueError, match="branch must be 1, 2 or 'sing'"):
+            make_character(3, 1)
+
 
 def is_homomorphism(fn, space, samples=100, seed=0):
     """Unitality, additivity and multiplicativity of fn on random glued pairs."""

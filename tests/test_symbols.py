@@ -101,6 +101,14 @@ class TestProduct:
         s = make_symbol(1, X, X, K0)
         assert symbol_mul(s, s) == SymbolElem(2, X2, X2, K0)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(OrderError, match="symbol degree must be nonnegative"):
+            make_symbol(-1, X, X, K0)
+
+    def test_sum_needs_equal_degrees(self):
+        with pytest.raises(OrderError, match="can only add symbols of equal degree"):
+            symbol_add(make_symbol(1, X, X, K0), make_symbol(2, X2, X2, K0))
+
     def test_unit(self):
         unit = make_symbol(0, Poly.of(1), Poly.of(1), K0)
         s = make_symbol(2, X2, -X, K0)
