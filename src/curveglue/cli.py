@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from . import dsl
 from .errors import AdmissibilityError, CurveGlueError
 from .glued import SpaceSpec, extend_to_plane, restrict_to_branches
-from .poly import Poly, degree_cap, get_degree_cap, poly2_str, rational_str
+from .poly import Poly, degree_cap, get_degree_cap, rational_str
 
 if TYPE_CHECKING:
     from .operators import BranchOp
@@ -60,7 +60,7 @@ def _op_coeffs(op: BranchOp) -> list[list[str]]:
     return [_poly_coeffs(c) for c in op.coeffs]
 
 
-def _emit(args, lines, space, verdict, *, result=None, order=None, report=None, probe=None):
+def _emit(args, lines, space, verdict, *, result=None, order=None, violations=(), probe=None):
     """Print the text lines, or with --json the payload every verb shares:
     verb, space, [order,] verdict, violations, then [probe] and [result]."""
     if not args.json:
@@ -71,11 +71,7 @@ def _emit(args, lines, space, verdict, *, result=None, order=None, report=None, 
     if order is not None:
         payload["order"] = order
     payload["verdict"] = verdict
-    payload["violations"] = [
-        {"constraint": v.constraint, "lhs": rational_str(*v.lhs.as_integer_ratio()),
-         "rhs": "0"}
-        for v in (report.violations if report else ())
-    ]
+    payload["violations"] = list(violations)
     if probe is not None:
         payload["probe"] = probe
     if result is not None:
@@ -84,22 +80,29 @@ def _emit(args, lines, space, verdict, *, result=None, order=None, report=None, 
     print(json.dumps(payload, indent=2))
 
 
-def _load_two(paths: list[str], parse_many):
-    """Two blocks: both in one file, or one in each of two files."""
-    if len(paths) not in (1, 2):
+def _lines(parse_line):
+    """A reader of one block per line, for the one-line block kinds."""
+    return lambda text: [parse_line(line, number) for number, line in dsl._numbered_lines(text)]
+
+
+def _load(paths: list[str], parse, count: int) -> list:
+    """``count`` blocks: all in one file, or one in each of ``count`` files.
+    Each file is parsed whole before its blocks are counted."""
+    if len(paths) not in (1, count):  # only the two-block verbs take several files
         raise CurveGlueError("expected one or two input files")
-    items = []
+    want = count // len(paths)
+    blocks = []
     for path in paths:
-        found = parse_many(_read(path))
-        if len(found) != 3 - len(paths):
-            raise CurveGlueError(f"expected {3 - len(paths)} block(s) in {path}, found {len(found)}")
-        items += found
-    return items
+        found = parse(_read(path))
+        if len(found) != want:
+            raise CurveGlueError(f"expected {want} block(s) in {path}, found {len(found)}")
+        blocks += found
+    return blocks
 
 
 def _cmd_check(args):
     from .operators import check_admissible, default_probe_degree, probe_admissible
-    pair = dsl.parse_paired(_read(args.file))
+    [pair] = _load([args.file], dsl.parse_many_paired, 1)
     order = args.order if args.order is not None else pair.declared_order
     depth = None
     if args.probe_depth is not None:
@@ -120,23 +123,24 @@ def _cmd_check(args):
     verdict = "admissible" if report.ok else "inadmissible"
     lines = [f"space {args.space}, order {order}: "
              + ("admissible" if report.ok else "NOT admissible")]
-    for v in report.violations:
-        lhs = rational_str(*v.lhs.as_integer_ratio())
-        lines.append(f"  violated: {v.constraint}   (lhs = {lhs}, rhs = 0)")
+    violations = [{"constraint": v.constraint, "lhs": rational_str(*v.lhs.as_integer_ratio()),
+                   "rhs": "0"} for v in report.violations]
+    lines += [f"  violated: {v['constraint']}   (lhs = {v['lhs']}, rhs = {v['rhs']})"
+              for v in violations]
     probe = None
     if depth is not None:
         probed = probe_admissible(pair.d1, pair.d2, args.space, depth)
         probe = {"depth": depth, "verdict": "admissible" if probed else "inadmissible"}
         lines.append(f"probe (depth {depth}): " + ("admissible" if probed else "NOT admissible"))
-    return lines, args.space, verdict, {"order": order, "report": report, "probe": probe}
+    return lines, args.space, verdict, {"order": order, "violations": violations, "probe": probe}
 
 
 def _cmd_combine(args):
     from .operators import make_pair, pair_commutator, pair_compose
-    parsed = _load_two(args.files, dsl.parse_many_paired)
+    parsed = _load(args.files, dsl.parse_many_paired, 2)
     a, b = (make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed)
     pair = (pair_compose if args.verb == "compose" else pair_commutator)(a, b)
-    text = dsl.render_paired(pair)
+    text = str(pair)
     return [text], pair.space, "admissible", {"result": {
         "order": pair.order,
         "branch_x": _op_coeffs(pair.d1),
@@ -146,7 +150,7 @@ def _cmd_combine(args):
 
 
 def _symbol_output(sym):
-    text = dsl.render_symbol(sym)
+    text = str(sym)
     return [text], sym.space, "pass", {"result": {
         "degree": sym.degree,
         "a": _poly_coeffs(sym.a),
@@ -158,19 +162,14 @@ def _symbol_output(sym):
 def _cmd_symbol(args):
     from .operators import make_pair
     from .symbols import pair_symbol
-    parsed = dsl.parse_paired(_read(args.file))
+    [parsed] = _load([args.file], dsl.parse_many_paired, 1)
     order = args.degree if args.degree is not None else parsed.declared_order
     return _symbol_output(pair_symbol(make_pair(parsed.d1, parsed.d2, args.space, order)))
 
 
-def _parse_symbols_text(text: str):
-    return [dsl.parse_symbol(line, number) for number, line in dsl._numbered_lines(text)]
-
-
 def _cmd_bracket(args):
     from .symbols import poisson_bracket
-    symbols = _load_two(args.files, _parse_symbols_text)
-    return _symbol_output(poisson_bracket(symbols[0], symbols[1]))
+    return _symbol_output(poisson_bracket(*_load(args.files, _lines(dsl.parse_symbol), 2)))
 
 
 def _cmd_conditions(args):
@@ -184,13 +183,9 @@ def _embed_poly(args) -> Poly | None:
 
 
 def _cmd_extend(args):
-    lines = dsl._numbered_lines(_read(args.file))
-    if len(lines) != 1:
-        raise CurveGlueError(f"expected one pair line, found {len(lines)}")
-    number, line = lines[0]
-    glued = dsl.parse_glued(line, number)
+    [glued] = _load([args.file], _lines(dsl.parse_glued), 1)
     surface = extend_to_plane(glued, _embed_poly(args))
-    text = poly2_str(surface)
+    text = str(surface)
     return [text], glued.space, "pass", {"result": {
         "slices": [_poly_coeffs(s) for s in surface.slices],
         "dsl": text,
@@ -200,7 +195,7 @@ def _cmd_extend(args):
 def _cmd_restrict(args):
     surface = dsl.parse_poly2(_read(args.file))
     glued = restrict_to_branches(surface, _embed_poly(args), args.space)
-    text = dsl.render_glued(glued)
+    text = str(glued)
     return [text], args.space, "pass", {"result": {
         "f": _poly_coeffs(glued.f),
         "g": _poly_coeffs(glued.g),
@@ -210,17 +205,14 @@ def _cmd_restrict(args):
 
 def _cmd_witness(args):
     from .spectra import char_eval, separating_witness
-    lines = dsl._numbered_lines(_read(args.file))
-    if len(lines) != 2:
-        raise CurveGlueError(f"expected two character lines, found {len(lines)}")
-    c1, c2 = (dsl.parse_char(line, number) for number, line in lines)
+    c1, c2 = _load([args.file], _lines(dsl.parse_char), 2)
     # Any bound >= m + 1 finds a witness whenever the points differ.
     witness = separating_witness(c1, c2, args.space, args.space.m + 3)
     if witness is None:
         text = "none (both characters denote the same point)"
         result = {"witness": None}
     else:
-        text = dsl.render_glued(witness)
+        text = str(witness)
         result = {
             "witness": text,
             "values": [rational_str(*char_eval(c, witness).as_integer_ratio()) for c in (c1, c2)],

@@ -24,7 +24,7 @@ from curveglue.glued import SpaceSpec
 from curveglue.operators import default_probe_degree, generate_conditions
 from curveglue.poly import get_degree_cap
 from curveglue.sampling import random_admissible_pair
-from curveglue.spectra import char_eval
+from curveglue.spectra import IdentityCheck, char_eval
 from curveglue.symbols import SymbolElem
 
 HERE = Path(__file__).parent
@@ -155,6 +155,7 @@ RESULT_PARSERS = {
 def test_json_corpus_shares_payload_shape(capsys, golden, status, argv):
     got, captured = run(capsys, *argv, "--json")
     payload = json.loads(captured.out)
+    text = run(capsys, *argv)[1].out
     assert got == status
     assert status == (1 if payload["verdict"] in ("inadmissible", "fail") else 0)
     assert list(payload)[:2] == ["verb", "space"]
@@ -165,6 +166,12 @@ def test_json_corpus_shares_payload_shape(capsys, golden, status, argv):
         assert payload["space"] == argv[argv.index("--space") + 1]
     if "dsl" in payload.get("result", {}):
         RESULT_PARSERS[payload["verb"]](payload["result"]["dsl"])
+        # Text mode prints the very text the payload carries.
+        assert text == payload["result"]["dsl"] + "\n"
+    # Each violation is formatted once: its text line comes from its payload entry.
+    violated = [f"  violated: {v['constraint']}   (lhs = {v['lhs']}, rhs = 0)"
+                for v in payload["violations"]]
+    assert violated == [line for line in text.splitlines() if line.startswith("  violated:")]
 
 
 class TestJsonOutput:
@@ -317,6 +324,19 @@ class TestExitStatusContract:
         status, captured = run_stdin(capsys, monkeypatch, text, "witness", "-", "--space", "K1")
         assert status == 2
         assert captured.err.startswith("error: zero denominator")
+
+    def test_nullity_fail_verdict(self, capsys, monkeypatch):
+        # K0 and K1 pass every identity, so a failing check is put in place.
+        failing = (IdentityCheck("made to fail", False, "lhs != rhs"),)
+        monkeypatch.setattr("curveglue.spectra.nullity_identity_check", lambda space: failing)
+        status, captured = run(capsys, "nullity", "--space", "K0")
+        assert (status, captured.out, captured.err) == (1, "FAIL  made to fail: lhs != rhs\n", "")
+        status, captured = run(capsys, "nullity", "--space", "K0", "--json")
+        payload = json.loads(captured.out)
+        assert (status, payload["verdict"]) == (1, "fail")
+        assert payload["result"]["checks"] == [
+            {"name": "made to fail", "passed": False, "detail": "lhs != rhs"}
+        ]
 
     @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
     def test_nullity_beyond_contact_one_is_input_error(self, capsys, flags):
@@ -500,6 +520,45 @@ class TestTwoBlockInput:
         assert "found 1" in captured.err
 
 
+EULER_PAIR = (DATA / "pair_euler_K1.txt").read_text()
+SYMBOL_LINE = "symbol deg=1 m=1: x | y\n"
+GLUED_LINE = "pair m=1: x | x\n"
+CHAR_LINE = "char branch=1 at=1\n"
+# verb and options, the text of each input file, then the block count
+# expected and found in the first file.  An empty paired-operator input is a
+# form error of its own (see test_malformed_input_names_its_fault), so
+# check and symbol are given too many blocks only.
+BLOCK_COUNTS = [
+    (["check", "--space", "K1"], [EULER_PAIR * 2], 1, 2),
+    (["symbol", "--space", "K1"], [EULER_PAIR * 2], 1, 2),
+    (["extend"], [GLUED_LINE * 2], 1, 2),
+    (["extend"], ["# no pair\n"], 1, 0),
+    (["witness", "--space", "K1"], [CHAR_LINE * 3], 2, 3),
+    (["witness", "--space", "K1"], [CHAR_LINE], 2, 1),
+    (["compose", "--space", "K1"], [EULER_PAIR * 3], 2, 3),
+    (["compose", "--space", "K1"], [EULER_PAIR * 2] * 2, 1, 2),
+    (["commutator", "--space", "K1"], [EULER_PAIR * 3], 2, 3),
+    (["commutator", "--space", "K1"], [EULER_PAIR * 2] * 2, 1, 2),
+    (["bracket"], [SYMBOL_LINE * 3], 2, 3),
+    (["bracket"], [SYMBOL_LINE * 2] * 2, 1, 2),
+]
+
+
+@pytest.mark.parametrize(
+    "verb,texts,want,found",
+    BLOCK_COUNTS,
+    ids=[f"{v[0]}-{len(t)}-file-{f}" for v, t, _, f in BLOCK_COUNTS],
+)
+def test_every_reading_verb_counts_its_blocks(tmp_path, capsys, verb, texts, want, found):
+    """A wrong block count is one message, whichever verb reads the input."""
+    paths = [tmp_path / f"in{i}.txt" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    status, captured = run(capsys, verb[0], *paths, *verb[1:])
+    assert (status, captured.out) == (2, "")
+    assert captured.err == f"error: expected {want} block(s) in {paths[0]}, found {found}\n"
+
+
 class TestDslExponentCap:
     """Exponents above the degree cap are rejected while parsing (cap + 1 only)."""
 
@@ -576,7 +635,7 @@ class TestInputLines:
     def test_extend_needs_one_pair_line(self, capsys, monkeypatch):
         status, captured = run_stdin(capsys, monkeypatch, "pair m=1: x | x\npair m=1: x | x\n", "extend", "-")
         assert status == 2
-        assert "expected one pair line, found 2" in captured.err
+        assert captured.err == "error: expected 1 block(s) in -, found 2\n"
 
 
 class TestEmbedOption:
