@@ -282,8 +282,10 @@ def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
 
 def parse_paired(text: str) -> ParsedPair:
     pairs = parse_many_paired(text)
-    if len(pairs) != 1:
-        raise DSLSyntaxError(f"expected exactly one paired operator, found {len(pairs)}", 1)
+    if len(pairs) != 1:  # name the line the second pair starts on
+        lines = _numbered_lines(text)
+        second = _parse_paired_at(lines, 0)[1]
+        raise DSLSyntaxError(f"expected exactly one paired operator, found {len(pairs)}", lines[second][0])
     return pairs[0]
 
 

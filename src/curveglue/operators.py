@@ -30,7 +30,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import NamedTuple
 
 from .errors import AdmissibilityError, ClosureBugError, OrderError
@@ -133,7 +133,11 @@ def _leibniz(a: list[list[int]], b: list[list[int]], commute: bool) -> list[list
     In symbols, sigma(A o B) = sum_r (1/r!) d_xi^r sigma_A d_x^r sigma_B, that
     is sum_r A_r B_r with A_r = sum_i C(i,r) a_i xi^(i-r), B_r = sum_j b_j^(r) xi^j,
     each packed into one int by Kronecker substitution, x -> 2^w and
-    xi -> 2^(w nx), one big-int multiply per r and order into one total.  With
+    xi -> 2^(w nx), one big-int multiply per r and order into one total.
+    Each operand is packed once, as P_i = a_i(2^w) and, by one transpose of b,
+    as column ints Q_t = sum_j b_j[t] 2^(w nx j): A_r packs C(i,r) P_i and B_r
+    perm(t,r) Q_t, each list got from r - 1 by one multiple per entry, (i-r+1)/r
+    (an exact division) and t-r+1, so no b_j^(r) is formed.  With
     la, lb the longest lengths in a and b, and first = 1 if commuting, else 0,
     a product has at most nx = la + lb - 1 - first coefficients.  One of
     A_r B_r sums at most min(len(a) - r, len(b)) min(la, lb - r) products
@@ -160,12 +164,14 @@ def _leibniz(a: list[list[int]], b: list[list[int]], commute: bool) -> list[list
     half, mask = 1 << (w - 1), (1 << w) - 1
     total = half * ((1 << step * slots) - 1) // mask  # 2^(w-1) at every digit
     for p, q, _, lq, sign in orders:
-        packed = [_pack(pi, w) for pi in p]
+        ps = [sign * _pack(pi, w) for pi in p]  # C(i, r) P_i at i - r
+        qs = [_pack(col, step) for col in zip_longest(*q, fillvalue=0)]  # perm(t, r) Q_t at t - r
         for r in range(min(len(p), lq)):
-            deriv = [[c * t for t, c in enumerate(qj) if t] for qj in deriv] if r else q
+            if r:
+                ps = [x * (e + 1) // r for e, x in enumerate(ps[1:])]
+                qs = [x * (e + 1) for e, x in enumerate(qs[1:])]
             if r >= first:
-                p_r = _pack([sign * math.comb(i, r) * packed[i] for i in range(r, len(p))], step)
-                total += p_r * _pack([_pack(qj, w) for qj in deriv], step)
+                total += _pack(ps, step) * _pack(qs, w)
     out = [[(x >> s & mask) - half for s in range(0, step, w)]
            for x in [total >> s & ((1 << step) - 1) for s in range(0, step * slots, step)]]
     for target in out:

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +415,14 @@ class TestBlocks:
         text = "# operator\nbranch x\nop order=0\ncoeff 0: 1  # unit\n\nbranch y\nop order=0\ncoeff 0: 1\n"
         pair = dsl.parse_paired(text)
         assert pair.d1 == BranchOp.of(Poly.of(1))
+
+    def test_extra_pair_names_its_first_line(self):
+        # Line 1 is a comment; the second pair starts at line 10.
+        text = (Path(__file__).parent / "data" / "pair_two_eulers_K1.txt").read_text()
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_paired(text)
+        assert str(err.value) == "expected exactly one paired operator, found 2 at line 10"
+        assert len(dsl.parse_many_paired(text)) == 2
 
 
 class TestRenderRoundtrip:

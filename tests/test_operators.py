@@ -449,6 +449,7 @@ class TestLeibnizKernel:
     @example([[1] * 9] * 9, [[-1, 1] * 4 + [-1]] * 9, False, 40)
     @example([[], [0, 0, 0, 5]], [[0, 0, 0, 7]], True, 4)  # r = 0 is not formed: (5, 4) from r = 1
     @example([[1] * 9], [[], [2, 1]], True, 4)  # only (b, a) has a product, b_1 a_0', of degree 8
+    @example([[3, 1], [2]], [[1, 2, 1], [], [0, 5, 0, 1]], True, 40)  # b_1 = 0 packs as zeros in every column
     def test_matches_triple_loop(self, a, b, commute, cap):
         # Results and degree cap errors of the packed kernel against the
         # triple loop over (i, j, r): one loop for a o b, and in commute
@@ -475,6 +476,65 @@ class TestLeibnizKernel:
             p, q = (random_admissible_pair(SpaceSpec(16), 16, random.Random(seed)) for seed in (1, 2))
             rendered = render_paired(combine(p, q))
         assert hashlib.sha256(rendered.encode()).hexdigest() == digest
+
+
+def _weighted(op):
+    """op with each term c x^i d^s scaled by its Euler weight i - s."""
+    return BranchOp.of(*(Poly.of(*((i - s) * c for i, c in enumerate(a.coeffs))) for s, a in enumerate(op.coeffs)))
+
+
+def _weight_component(op, w):
+    """The terms c x^i d^s of op with i - s = w."""
+    return BranchOp.of(*(Poly.monomial(s + w, a.coeff(s + w)) if s + w >= 0 else ZERO
+                         for s, a in enumerate(op.coeffs)))
+
+
+THETA = BranchOp.of(ZERO, X)  # the Euler operator x d, admissible on every K_m
+
+
+class TestScaleOracles:
+    """Checks of products that need no triple loop, so they reach sizes the
+    reference kernel cannot (Freivalds, IFIP 1977; the Euler grading of the
+    quasi-homogeneous curve y(y - x^(m+1)) = 0)."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_products_by_application(self, seed):
+        # A wrong product differs from the right one by a nonzero operator of
+        # order n <= 2k, whose kernel on polynomials has dimension at most n,
+        # so a random f of degree 2k + 3 tells the two apart unless it hits a
+        # proper subspace.
+        space, k, rng = SpaceSpec(24), 24, random.Random(seed)
+        a, b = (random_admissible_pair(space, k, rng).d1 for _ in range(2))
+        f = Poly.of(*(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(2 * k + 3)), 1)
+        with degree_cap(128):
+            ab, ba = a.apply(b.apply(f)), b.apply(a.apply(f))
+            assert compose(a, b).apply(f) == ab
+            assert commutator(a, b).apply(f) == ab - ba
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 32), st.integers(0, 32), st.integers(0, 2**32))
+    @example(32, 32, 0)
+    def test_euler_grading(self, m, k, seed):
+        # [theta, A] scales each term c x^i d^s of A by its weight i - s.
+        pair = random_admissible_pair(SpaceSpec(m), k, random.Random(seed))
+        with degree_cap(64):
+            for op in (pair.d1, pair.d2):
+                assert commutator(THETA, op) == _weighted(op)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32))
+    @example(8, 8, 0)
+    def test_weight_components_are_admissible(self, m, k, seed):
+        # ad(theta) maps admissible pairs to admissible pairs and grades them
+        # by weight, so every weight component of one is admissible too.
+        space = SpaceSpec(m)
+        pair = random_admissible_pair(space, k, random.Random(seed))
+        weights = {i - s for op in (pair.d1, pair.d2) for s, a in enumerate(op.coeffs) for i in range(len(a.nums))}
+        depth = default_probe_degree(space, k)
+        for w in sorted(weights):
+            d1, d2 = _weight_component(pair.d1, w), _weight_component(pair.d2, w)
+            assert check_admissible(d1, d2, space, k).ok
+            assert probe_admissible(d1, d2, space, depth)
 
 
 def rref(rows):
