@@ -53,11 +53,12 @@ def _read(path: str) -> str:
 
 
 def _poly_coeffs(p: Poly) -> list[str]:
-    return [rational_str(c, p.den) for c in p.nums]
+    nums, den = p  # a Poly, or any (nums, den) pair
+    return [rational_str(c, den) for c in nums]
 
 
 def _op_coeffs(op: BranchOp) -> list[list[str]]:
-    return [_poly_coeffs(c) for c in op.coeffs]
+    return [_poly_coeffs((row, op.den)) for row in op.rows]
 
 
 def _emit(args, lines, space, verdict, *, result=None, order=None, violations=(), probe=None):

@@ -282,6 +282,8 @@ def _parse_paired_at(lines: list, index: int) -> tuple[ParsedPair, int]:
 
 def parse_paired(text: str) -> ParsedPair:
     pairs = parse_many_paired(text)
+    if not pairs:
+        raise DSLSyntaxError("empty paired-operator input", 1)
     if len(pairs) != 1:  # name the line the second pair starts on
         lines = _numbered_lines(text)
         second = _parse_paired_at(lines, 0)[1]
@@ -291,8 +293,6 @@ def parse_paired(text: str) -> ParsedPair:
 
 def parse_many_paired(text: str) -> list[ParsedPair]:
     lines = _numbered_lines(text)
-    if not lines:
-        raise DSLSyntaxError("empty paired-operator input", 1)
     pairs = []
     index = 0
     while index < len(lines):
@@ -322,12 +322,11 @@ def render_char(c: Character) -> str:
 
 
 def render_op(op: BranchOp, declared_order: int | None = None, var: str = "x") -> str:
-    order = max(len(op.coeffs) - 1, 0) if declared_order is None else declared_order
+    order = max(len(op.rows) - 1, 0) if declared_order is None else declared_order
     lines = [f"op order={order}"]
-    for i in range(order, -1, -1):
-        coeff = op.coeff(i)
-        if not coeff.is_zero:
-            lines.append(f"coeff {i}: {poly_str(coeff, var)}")
+    for i in range(min(order, len(op.rows) - 1), -1, -1):
+        if op.rows[i]:
+            lines.append(f"coeff {i}: {poly_str((op.rows[i], op.den), var)}")
     return "\n".join(lines)
 
 

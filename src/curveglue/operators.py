@@ -21,7 +21,8 @@ run on integers.  The rows are primitive integer equations, and the check
 puts the unknowns over one common denominator, so each row is one integer dot
 product; the probe forms only the m-jet of each image by :func:`_apply`, the
 kernel of ``apply`` too, and never a full product, so the degree cap does not
-bind it.
+bind it.  A :class:`BranchOp` holds integer rows over one denominator, which
+the products, ``apply``, the probe and the check read as they are.
 """
 
 from __future__ import annotations
@@ -42,15 +43,20 @@ from .poly import NEG_INF, ZERO, Poly, _check_cap, _poly, _trim, get_degree_cap,
 
 
 class BranchOp(NamedTuple):
-    """Operator sum a_i(x) d^i on one branch; ``coeffs[i]`` is a_i.
+    """Operator sum a_i(x) d^i on one branch; row i holds the integer numerators
+    of a_i over ``den``.  Canonical, like :class:`Poly`: den > 0, gcd(den, every
+    entry) = 1, no row ends in 0 and ``rows`` ends in no empty row, so equal
+    operators compare and hash equal.  ``coeffs`` and ``coeff`` build Polys."""
 
-    The top coefficient is nonzero (zero operator = empty tuple)."""
-
-    coeffs: tuple[Poly, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     @staticmethod
     def of(*coeffs: Poly) -> "BranchOp":
-        return BranchOp(_trim(coeffs))
+        coeffs = _trim(coeffs)
+        den = math.lcm(*[a.den for a in coeffs])  # of lowest terms: canonical with no gcd
+        return BranchOp(tuple([a.nums if a.den == den else tuple([c * (den // a.den) for c in a.nums])
+                               for a in coeffs]), den)
 
     @staticmethod
     def derivative(coefficient: Poly | None = None, power: int = 1) -> "BranchOp":
@@ -59,40 +65,50 @@ class BranchOp(NamedTuple):
         return BranchOp.of(*([ZERO] * power + [c]))
 
     @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        return tuple([_poly(row, self.den) for row in self.rows])
+
+    @property
     def order(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.rows) - 1 if self.rows else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def coeff(self, i: int) -> Poly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+        return _poly(self.rows[i], self.den) if 0 <= i < len(self.rows) else ZERO
 
     def __add__(self, other: "BranchOp") -> "BranchOp":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return BranchOp.of(*(self.coeff(i) + other.coeff(i) for i in range(n)))
+        den = math.lcm(self.den, other.den)
+        x, y = den // self.den, den // other.den
+        return _op([[c * x + d * y for c, d in zip_longest(p, q, fillvalue=0)]
+                    for p, q in zip_longest(self.rows, other.rows, fillvalue=())], den)
 
     def __neg__(self) -> "BranchOp":
-        return BranchOp(tuple(-c for c in self.coeffs))
+        return BranchOp(tuple([tuple([-c for c in row]) for row in self.rows]), self.den)
 
     def __sub__(self, other: "BranchOp") -> "BranchOp":
         return self + (-other)
 
     def apply(self, p: Poly) -> Poly:
-        a, den = _nums(self)
-        return _poly(_apply(a, p), den * p.den)
+        return _poly(_apply(self.rows, p), self.den * p.den)
 
     def __str__(self) -> str:
         from .dsl import render_op
 
         return render_op(self)
 
+    def __repr__(self) -> str:
+        return f"BranchOp(coeffs={self.coeffs!r})"
 
-def _nums(op: BranchOp) -> tuple[list[list[int]], int]:
-    """The numerators of op's coefficients over one common denominator."""
-    den = math.lcm(*(a.den for a in op.coeffs))
-    return [[c * (den // a.den) for c in a.nums] for a in op.coeffs], den
+
+def _op(rows, den: int) -> BranchOp:
+    """The canonical BranchOp with a_i = ``rows[i] / den`` (den > 0): trailing
+    zeros and empty rows trimmed, then one gcd over den and every entry."""
+    rows = _trim([_trim(row) for row in rows])
+    g = math.gcd(den, *chain.from_iterable(rows))
+    return BranchOp(tuple([tuple([c // g for c in row]) for row in rows]) if g != 1 else rows, den // g)
 
 
 def _apply(a: list[list[int]], f: Poly, top: int | None = None) -> list[int]:
@@ -125,10 +141,10 @@ def _leibniz(a: list[list[int]], b: list[list[int]], commute: bool) -> list[list
     """a o b = sum_r C(i,r) a_i b_j^(r) d^(i-r+j), or with ``commute`` a o b - b o a:
     the terms r >= 1 of both orders, as the r = 0 terms cancel.
 
-    The operators are integer numerator arrays: ``a[i]`` holds those of a_i
-    over one common denominator, ``b[j]`` those of b_j over another, and the
-    result is over their product.  Arrays, and the lists of them, carry no
-    trailing zero, so lengths are true degrees plus one.
+    The operators are integer numerator arrays, such as BranchOp rows: ``a[i]``
+    holds those of a_i over one common denominator, ``b[j]`` those of b_j over
+    another, and the result is over their product.  Arrays, and the sequences
+    of them, carry no trailing zero, so lengths are true degrees plus one.
 
     In symbols, sigma(A o B) = sum_r (1/r!) d_xi^r sigma_A d_x^r sigma_B, that
     is sum_r A_r B_r with A_r = sum_i C(i,r) a_i xi^(i-r), B_r = sum_j b_j^(r) xi^j,
@@ -184,14 +200,12 @@ def _leibniz(a: list[list[int]], b: list[list[int]], commute: bool) -> list[list
 
 def compose(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     """Operator composition: apply op_b first, then op_a."""
-    (a, da), (b, db) = _nums(op_a), _nums(op_b)
-    return BranchOp.of(*(_poly(c, da * db) for c in _leibniz(a, b, False)))
+    return _op(_leibniz(op_a.rows, op_b.rows, False), op_a.den * op_b.den)
 
 
 def commutator(op_a: BranchOp, op_b: BranchOp) -> BranchOp:
     """[op_a, op_b] = op_a op_b - op_b op_a, in one kernel pass."""
-    (a, da), (b, db) = _nums(op_a), _nums(op_b)
-    return BranchOp.of(*(_poly(c, da * db) for c in _leibniz(a, b, True)))
+    return _op(_leibniz(op_a.rows, op_b.rows, True), op_a.den * op_b.den)
 
 
 def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
@@ -204,15 +218,15 @@ def verify_order(op: BranchOp, k: int, probe_degree: int) -> bool:
     probe_degree >= 1 that set holds x, which generates Q[x], so the one
     chain ad(x)^(k+1) decides.  Its k + 1 steps, [a_i d^i, x] = i a_i d^(i-1),
     scale a_i by i(i-1)...(i-k), zero exactly when i <= k, so the chain
-    vanishes exactly when ``op.coeffs`` has at most k + 1 entries.  With
+    vanishes exactly when ``op.rows`` has at most k + 1 entries.  With
     probe_degree < 1 there is no chain, so any k >= 0 passes.  A step keeps
     coefficient degrees, so with k >= 0 the cap guard ``_check_cap`` refuses
     only an a_i, i >= 1, already past the cap, the first in ascending i."""
     if k >= 0:
         if probe_degree < 1:
             return True
-        _check_cap(len(a.nums) - 1 for a in op.coeffs[1:])
-    return len(op.coeffs) <= k + 1
+        _check_cap(len(row) - 1 for row in op.rows[1:])
+    return len(op.rows) <= k + 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +391,21 @@ class ConditionSet(NamedTuple):
         return tuple(out)
 
 
-def _jet_values(pairs, m: int) -> tuple[list[int], int]:
-    """The jets of ``pairs[s] = (a_s, b_s)``, s <= k = len(pairs) - 1, each at
-    its column of the order-k system, as the integers r! * nums[r] over one
-    common denominator of every coefficient.  A lone pair, such as a symbol's
-    top pair, takes the order-0 columns, which the degree stratum uses."""
-    den = math.lcm(*(p.den for pair in pairs for p in pair))
-    k = len(pairs) - 1
+def _jet_values(a, b, m: int, k: int) -> tuple[list[int], int]:
+    """The jets of a_s, b_s, s <= k, from ``(rows, den)`` pairs such as BranchOps,
+    each at its column of the order-k system, as the integers r! * row[r] over
+    one common denominator.  A symbol's top pair, one row each, takes the
+    order-0 columns, which the degree stratum uses."""
+    den = math.lcm(a[1], b[1])
     facts = [math.factorial(r) for r in range(m + 1)]
     step = _column(0, 1, m, 0) - _column(0, 0, m, 0)  # from r to r + 1
     out = [0] * (_column(0, 0, m, k) + 2)
-    for s, pair in enumerate(pairs):
-        col = _column(s, 0, m, k)
-        for branch, p in enumerate(reversed(pair)):  # b_s^(r)(0), then a_s^(r)(0)
-            scale = den // p.den
-            for r, x in enumerate(p.nums[:m + 1]):
-                out[col + r * step + branch] = facts[r] * scale * x
+    for branch, (rows, d) in enumerate((b, a)):  # b_s^(r)(0), then a_s^(r)(0)
+        scale = den // d
+        for s, row in enumerate(rows):
+            col = _column(s, 0, m, k) + branch
+            for r, x in enumerate(row[:m + 1]):
+                out[col + r * step] = facts[r] * scale * x
     return out, den
 
 
@@ -522,7 +535,7 @@ def check_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, k: int) -> Ad
     conditions = generate_conditions(space, k)
     if d1.order > k or d2.order > k:
         raise OrderError(f"branch orders exceed the declared order {k}")
-    values, den = _jet_values([(d1.coeff(s), d2.coeff(s)) for s in range(k + 1)], space.m)
+    values, den = _jet_values(d1, d2, space.m, k)
     return AdmissibilityReport(space, k, conditions.violations(values, den))
 
 
@@ -530,8 +543,7 @@ def probe_admissible(d1: BranchOp, d2: BranchOp, space: SpaceSpec, probe_degree:
     """Brute-force oracle: apply both operators to the spanning family and
     compare output m-jets at 0, formed alone by :func:`_apply`, so no product
     meets the degree cap.  Independent of the generated conditions."""
-    m = space.m
-    (a, da), (b, db) = _nums(d1), _nums(d2)
+    m, (a, da), (b, db) = space.m, d1, d2
     jets_a, jets_b = {}, {}  # x^n recurs in a diagonal and a branch member
     for f, g in spanning_family(space, max_diag=probe_degree, max_branch=probe_degree):
         if f not in jets_a:

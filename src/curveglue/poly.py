@@ -89,7 +89,7 @@ def _poly(nums, den: int) -> "Poly":
         return ZERO
     g = math.gcd(den, *nums) if den != 1 else 1
     if g != 1:
-        return Poly(tuple(c // g for c in nums), den // g)
+        return Poly(tuple([c // g for c in nums]), den // g)
     return Poly(nums, den)
 
 
@@ -294,8 +294,10 @@ def _power(var: str, n: int) -> str:
 
 
 def poly_str(p: Poly, var: str = "x") -> str:
-    """Render in the DSL syntax, e.g. ``3/2*x^2 - x + 1``."""
-    return signed_sum((c, p.den, _power(var, n)) for n, c in reversed(tuple(enumerate(p.nums))))
+    """Render in the DSL syntax, e.g. ``3/2*x^2 - x + 1``.  Any ``(nums, den)``
+    pair renders the same as the Poly of its value, as each term is reduced."""
+    nums, den = p
+    return signed_sum((c, den, _power(var, n)) for n, c in reversed(tuple(enumerate(nums))))
 
 
 class Poly2(NamedTuple):

@@ -74,7 +74,7 @@ class SymbolElem(NamedTuple):
 def check_symbol_conditions(s: SymbolElem) -> AdmissibilityReport:
     """Evaluate the degree stratum on the actual coefficient jets."""
     conditions = symbol_conditions(s.space.m, s.degree)
-    values, den = _jet_values([(s.a, s.b)], s.space.m)
+    values, den = _jet_values(([s.a.nums], s.a.den), ([s.b.nums], s.b.den), s.space.m, 0)
     return AdmissibilityReport(s.space, s.degree, conditions.violations(values, den))
 
 

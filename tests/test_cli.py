@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -87,6 +88,23 @@ CORPUS = [
 )
 def test_golden_corpus(capsys, golden, status, argv):
     assert_golden(capsys, golden, status, *argv)
+
+
+def _refuse_to_format(self, *args):
+    raise AssertionError("a Fraction was formatted outside rational_str")
+
+
+@pytest.mark.parametrize(
+    "golden,status,argv", CORPUS, ids=[c[0].removesuffix(".txt") for c in CORPUS]
+)
+def test_every_printed_number_goes_through_rational_str(capsys, monkeypatch, golden, status, argv):
+    # With Fraction's str, repr and format refusing, each call still prints
+    # its pinned text, and its --json output and exit status do not change.
+    expected_json = run(capsys, *argv, "--json")
+    for name in ("__str__", "__repr__", "__format__"):
+        monkeypatch.setattr(Fraction, name, _refuse_to_format)
+    assert_golden(capsys, golden, status, *argv)
+    assert run(capsys, *argv, "--json") == expected_json
 
 
 class TestConditionGoldensAreComplete:
@@ -266,7 +284,7 @@ class TestExitStatusContract:
          "coefficient 1 given twice at line 4"),
         (EULER, ["check", "-", "--space", "K1"], "missing 'branch y' block at line 3"),
         ("# only\n\n  # comments\n", ["check", "-", "--space", "K1"],
-         "empty paired-operator input at line 1"),
+         "expected 1 block(s) in -, found 0"),
     ], ids=["three-files", "coeff-twice", "no-branch-y", "only-comments"])
     def test_malformed_input_names_its_fault(self, capsys, monkeypatch, text, argv, error):
         status, captured = run_stdin(capsys, monkeypatch, text, *argv)
@@ -525,18 +543,20 @@ SYMBOL_LINE = "symbol deg=1 m=1: x | y\n"
 GLUED_LINE = "pair m=1: x | x\n"
 CHAR_LINE = "char branch=1 at=1\n"
 # verb and options, the text of each input file, then the block count
-# expected and found in the first file.  An empty paired-operator input is a
-# form error of its own (see test_malformed_input_names_its_fault), so
-# check and symbol are given too many blocks only.
+# expected and found in the first file.  A blank input holds no block.
 BLOCK_COUNTS = [
     (["check", "--space", "K1"], [EULER_PAIR * 2], 1, 2),
+    (["check", "--space", "K1"], ["# no pair\n"], 1, 0),
     (["symbol", "--space", "K1"], [EULER_PAIR * 2], 1, 2),
+    (["symbol", "--space", "K1"], ["\n"], 1, 0),
     (["extend"], [GLUED_LINE * 2], 1, 2),
     (["extend"], ["# no pair\n"], 1, 0),
     (["witness", "--space", "K1"], [CHAR_LINE * 3], 2, 3),
     (["witness", "--space", "K1"], [CHAR_LINE], 2, 1),
     (["compose", "--space", "K1"], [EULER_PAIR * 3], 2, 3),
     (["compose", "--space", "K1"], [EULER_PAIR * 2] * 2, 1, 2),
+    (["compose", "--space", "K1"], [EULER_PAIR], 2, 1),
+    (["compose", "--space", "K1"], ["# no pair\n"] * 2, 1, 0),
     (["commutator", "--space", "K1"], [EULER_PAIR * 3], 2, 3),
     (["commutator", "--space", "K1"], [EULER_PAIR * 2] * 2, 1, 2),
     (["bracket"], [SYMBOL_LINE * 3], 2, 3),

@@ -424,6 +424,14 @@ class TestBlocks:
         assert str(err.value) == "expected exactly one paired operator, found 2 at line 10"
         assert len(dsl.parse_many_paired(text)) == 2
 
+    def test_blank_input_has_no_pair(self):
+        # The multi-pair reader finds none, so a caller counts them; the
+        # one-pair reader refuses the input itself.
+        assert dsl.parse_many_paired("# c\n") == []
+        with pytest.raises(DSLSyntaxError) as err:
+            dsl.parse_paired("# c\n")
+        assert str(err.value) == "empty paired-operator input at line 1"
+
 
 class TestRenderRoundtrip:
     def test_polys(self):

@@ -40,9 +40,10 @@ from curveglue.operators import (
     verify_order,
 )
 from curveglue import operators
-from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _nums, _Unknowns
+from curveglue.operators import _apply, _column, _generate, _jet_values, _leibniz, _Unknowns
+from curveglue import dsl
 from curveglue.dsl import render_paired
-from curveglue.poly import ZERO, Poly, _poly, _trim, degree_cap, get_degree_cap, signed_sum
+from curveglue.poly import ZERO, Poly, _poly, _trim, degree_cap, get_degree_cap, poly_str, signed_sum
 from curveglue.sampling import random_admissible_pair, random_symbol, solve_homogeneous
 from curveglue.symbols import (
     bracket_via_commutator,
@@ -281,6 +282,84 @@ class TestCommutator:
             assert commutator(a, b) == _two_compositions(a, b)
 
 
+def _assert_canonical(op):
+    """Integer rows as tuples with no trailing zero and no trailing empty
+    row, over a positive denominator that shares no factor with every entry."""
+    rows, den = op
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    assert all(type(c) is int for row in rows for c in row) and type(den) is int
+    assert den > 0 and math.gcd(den, *itertools.chain.from_iterable(rows)) == 1
+    assert all(row[-1] for row in rows if row) and (not rows or rows[-1])
+
+
+def _render_op_reference(op, declared_order, var):
+    """render_op as one poly_str per coefficient Poly."""
+    order = max(len(op.coeffs) - 1, 0) if declared_order is None else declared_order
+    lines = [f"op order={order}"]
+    for i in range(order, -1, -1):
+        coeff = op.coeff(i)
+        if not coeff.is_zero:
+            lines.append(f"coeff {i}: {poly_str(coeff, var)}")
+    return "\n".join(lines)
+
+
+# Denominators up to 12 and numerators with common factors, so the
+# denominator lcm and the result gcd both have work to do.
+wide_ops = st.lists(
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=5).map(
+        lambda cs: Poly.of(*cs)
+    ),
+    max_size=4,
+).map(lambda coeffs: BranchOp.of(*coeffs))
+
+
+class TestRepresentation:
+    """BranchOp holds integer rows over one denominator in canonical form."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_ops, wide_ops)
+    def test_every_construction_is_canonical(self, a, b):
+        with degree_cap(64):
+            built = [a, b, a + b, a - b, -a, a - a, compose(a, b), commutator(a, b)]
+        order = max(a.order, b.order, 0)
+        parsed = dsl.parse_paired(render_paired(dsl.ParsedPair(a, b, order)))
+        for op in built + [parsed.d1, parsed.d2]:
+            _assert_canonical(op)
+        assert (parsed.d1, parsed.d2) == (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_ops)
+    def test_coeffs_rebuild_the_operator(self, op):
+        assert all(type(c) is Poly for c in op.coeffs)
+        assert BranchOp.of(*op.coeffs) == op
+        assert [op.coeff(i) for i in range(-1, len(op.rows) + 1)] == [ZERO, *op.coeffs, ZERO]
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_ops, wide_ops)
+    def test_equal_operators_hash_equal(self, a, b):
+        # Pairs of one value built by different paths.
+        with degree_cap(64):
+            pairs = [
+                ((a + b) - b, a),
+                (a + b, b + a),
+                (-(-a), a),
+                (compose(a, b), _compose_reference(a, b)),
+                (commutator(a, b), _two_compositions(a, b)),
+                (commutator(a, b), -commutator(b, a)),
+            ]
+        for left, right in pairs:
+            assert left == right and hash(left) == hash(right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_ops, st.none() | st.integers(0, 5), st.sampled_from("xy"))
+    def test_render_matches_per_coefficient_rendering(self, op, declared_order, var):
+        assert dsl.render_op(op, declared_order, var) == _render_op_reference(op, declared_order, var)
+
+    def test_zero_operator(self):
+        assert BranchOp.of() == BranchOp.of(ZERO, ZERO) == D - D == BranchOp((), 1)
+        assert repr(BranchOp.of()) == "BranchOp(coeffs=())"
+
+
 class TestDeltaChains:
     # delta_a is the commutator with multiplication by a, an order-0 operator.
     def test_delta_x_of_derivative(self):
@@ -358,7 +437,7 @@ class TestDeltaChainKernel:
     @example(BranchOp.of(ZERO, Poly.of(-1), X), 2)  # [x d^2 - d, x^2] = 4x^2 d
     def test_step_matches_commutator_by_monomial(self, op, n):
         # One delta step by x^n through the kernel, on the integer numerators.
-        nums, den = _nums(op)
+        nums, den = op.rows, op.den
         with degree_cap(128):
             expected = commutator(op, BranchOp.of(Poly.monomial(n)))
             step = _leibniz(nums, [[0] * n + [1]], 1)
@@ -908,8 +987,8 @@ class TestWeightBlocks:
     @given(st.integers(0, 5), st.lists(st.tuples(delta_polys, delta_polys), min_size=1, max_size=5))
     def test_jet_values_at_their_columns(self, m, pairs):
         # Each unknown r! * p_r sits at its column, over the one denominator.
-        values, den = _jet_values(pairs, m)
         k = len(pairs) - 1
+        values, den = _jet_values(*(BranchOp.of(*branch) for branch in zip(*pairs)), m, k)
         assert len(values) == len(_Unknowns(m, k))
         expected = [None] * len(values)
         for s, (a, b) in enumerate(pairs):
@@ -1177,7 +1256,7 @@ class TestProbe:
     def test_jet_matches_apply(self, m, op, c):
         # The Poly walk is the oracle: the whole product, cut to the m-jet at
         # the end; the truncated kernel keeps its trailing zeros.
-        a, den = _nums(op)
+        a, den = op.rows, op.den
         space = SpaceSpec(m)
         depth = default_probe_degree(space, max(op.order, 0))
         with degree_cap(128):

@@ -19,7 +19,7 @@ from curveglue.symbols import SymbolElem
 
 K0 = SpaceSpec(0)
 X = Poly.of(0, 1)
-D = BranchOp((ZERO, Poly.of(1)))
+D = BranchOp.of(ZERO, Poly.of(1))
 
 # Each entry builds fresh field values, in field order, so two instances
 # share no mutable field.
@@ -28,7 +28,7 @@ RECORDS = [
     (Poly2, lambda: {"slices": (Poly.of(1), X)}),
     (SpaceSpec, lambda: {"m": 1}),
     (GluedFunction, lambda: {"f": Poly.of(1, 1), "g": Poly.of(1, 2), "space": K0}),
-    (BranchOp, lambda: {"coeffs": (ZERO, X)}),
+    (BranchOp, lambda: {"rows": ((), (0, 1)), "den": 1}),
     (Violation, lambda: {"constraint": "a1(0) = 0", "lhs": Fraction(1)}),
     (
         ConditionSet,
@@ -61,6 +61,8 @@ def test_record_is_an_immutable_value(cls, fields):
         setattr(value, name, first)
     if cls is Poly:
         assert repr(value) == "Poly(2/3*x + 1/3)"
+    elif cls is BranchOp:
+        assert repr(value) == "BranchOp(coeffs=(Poly(0), Poly(x)))"
     else:
         shown = ", ".join(f"{k}={v!r}" for k, v in fields().items())
         assert repr(value) == f"{cls.__name__}({shown})"
