@@ -81,6 +81,17 @@ def _emit(args, lines, space, verdict, *, result=None, order=None, violations=()
     print(json.dumps(payload, indent=2))
 
 
+def _output(value, space, verdict, **result):
+    """A value verb's output: the value's DSL text is the one text line, and
+    the last field of its --json result."""
+    text = str(value)
+    return [text], space, verdict, {"result": {**result, "dsl": text}}
+
+
+def _too_large(option: str, value: int, cap: int) -> CurveGlueError:
+    return CurveGlueError(f"{option} {value} exceeds the degree cap {cap} (raise it with --max-degree)")
+
+
 def _lines(parse_line):
     """A reader of one block per line, for the one-line block kinds."""
     return lambda text: [parse_line(line, number) for number, line in dsl._numbered_lines(text)]
@@ -117,9 +128,7 @@ def _cmd_check(args):
             )
         cap = get_degree_cap()  # one bound, given or default; the default may pass the cap
         if depth > max(cap, default):
-            raise CurveGlueError(
-                f"--probe-depth {depth} exceeds the degree cap {cap} (raise it with --max-degree)"
-            )
+            raise _too_large("--probe-depth", depth, cap)
     report = check_admissible(pair.d1, pair.d2, args.space, order)
     verdict = "admissible" if report.ok else "inadmissible"
     lines = [f"space {args.space}, order {order}: "
@@ -141,23 +150,13 @@ def _cmd_combine(args):
     parsed = _load(args.files, dsl.parse_many_paired, 2)
     a, b = (make_pair(p.d1, p.d2, args.space, p.declared_order) for p in parsed)
     pair = (pair_compose if args.verb == "compose" else pair_commutator)(a, b)
-    text = str(pair)
-    return [text], pair.space, "admissible", {"result": {
-        "order": pair.order,
-        "branch_x": _op_coeffs(pair.d1),
-        "branch_y": _op_coeffs(pair.d2),
-        "dsl": text,
-    }}
+    return _output(pair, pair.space, "admissible", order=pair.order,
+                   branch_x=_op_coeffs(pair.d1), branch_y=_op_coeffs(pair.d2))
 
 
 def _symbol_output(sym):
-    text = str(sym)
-    return [text], sym.space, "pass", {"result": {
-        "degree": sym.degree,
-        "a": _poly_coeffs(sym.a),
-        "b": _poly_coeffs(sym.b),
-        "dsl": text,
-    }}
+    return _output(sym, sym.space, "pass", degree=sym.degree,
+                   a=_poly_coeffs(sym.a), b=_poly_coeffs(sym.b))
 
 
 def _cmd_symbol(args):
@@ -186,22 +185,13 @@ def _embed_poly(args) -> Poly | None:
 def _cmd_extend(args):
     [glued] = _load([args.file], _lines(dsl.parse_glued), 1)
     surface = extend_to_plane(glued, _embed_poly(args))
-    text = str(surface)
-    return [text], glued.space, "pass", {"result": {
-        "slices": [_poly_coeffs(s) for s in surface.slices],
-        "dsl": text,
-    }}
+    return _output(surface, glued.space, "pass", slices=[_poly_coeffs(s) for s in surface.slices])
 
 
 def _cmd_restrict(args):
     surface = dsl.parse_poly2(_read(args.file))
     glued = restrict_to_branches(surface, _embed_poly(args), args.space)
-    text = str(glued)
-    return [text], args.space, "pass", {"result": {
-        "f": _poly_coeffs(glued.f),
-        "g": _poly_coeffs(glued.g),
-        "dsl": text,
-    }}
+    return _output(glued, args.space, "pass", f=_poly_coeffs(glued.f), g=_poly_coeffs(glued.g))
 
 
 def _cmd_witness(args):
@@ -312,9 +302,7 @@ def _check_sizes(args) -> None:
         sizes[f"--space {space}: contact order"] = space.m
     for option, value in sizes.items():
         if value is not None and value > cap:
-            raise CurveGlueError(
-                f"{option} {value} exceeds the degree cap {cap} (raise it with --max-degree)"
-            )
+            raise _too_large(option, value, cap)
 
 
 def main(argv=None) -> int:

@@ -305,20 +305,22 @@ def parse_many_paired(text: str) -> list[ParsedPair]:
 # Rendering (inverse of parsing)
 
 
+def _branch_text(f: Poly, g: Poly) -> str:
+    """The '<poly> | <poly>' body of a pair or symbol line, as
+    :func:`_branch_polys` reads it."""
+    return f"{poly_str(f, 'x')} | {poly_str(g, 'y')}"
+
+
 def render_glued(u: GluedFunction) -> str:
-    return f"pair m={u.space.m}: {poly_str(u.f, 'x')} | {poly_str(u.g, 'y')}"
+    return f"pair m={u.space.m}: {_branch_text(u.f, u.g)}"
 
 
 def render_symbol(s: SymbolElem) -> str:
-    return (
-        f"symbol deg={s.degree} m={s.space.m}: "
-        f"{poly_str(s.a, 'x')} | {poly_str(s.b, 'y')}"
-    )
+    return f"symbol deg={s.degree} m={s.space.m}: {_branch_text(s.a, s.b)}"
 
 
 def render_char(c: Character) -> str:
-    branch = c.branch if c.branch == "sing" else str(c.branch)
-    return f"char branch={branch} at={rational_str(*c.base_point.as_integer_ratio())}"
+    return f"char branch={c.branch} at={rational_str(*c.base_point.as_integer_ratio())}"
 
 
 def render_op(op: BranchOp, declared_order: int | None = None, var: str = "x") -> str:

@@ -89,12 +89,17 @@ def make_glued(f: Poly, g: Poly, space: SpaceSpec) -> GluedFunction:
     return GluedFunction(f, g, space)
 
 
-def _check_embedding(h: Poly, space: SpaceSpec) -> None:
+def _check_embedding(h: Poly | None, space: SpaceSpec) -> Poly:
+    """The embedding profile: the canonical x**(m+1) when h is None, else h,
+    which must vanish to exact order m + 1 at 0."""
+    if h is None:
+        return canonical_embedding(space)
     if h.order_of_zero() != space.m + 1:
         raise EmbeddingError(
             f"embedding profile must have a zero of exact order {space.m + 1} at 0, "
             f"got order {h.order_of_zero()}"
         )
+    return h
 
 
 def extend_to_plane(u: GluedFunction, h: Poly | None = None) -> Poly2:
@@ -104,11 +109,7 @@ def extend_to_plane(u: GluedFunction, h: Poly | None = None) -> Poly2:
     function; with a custom profile a nonzero remainder is reported as an
     :class:`~curveglue.errors.ExactDivisionError`.
     """
-    if h is None:
-        h = canonical_embedding(u.space)
-    _check_embedding(h, u.space)
-    slope = (u.g - u.f).divide_exact(h)
-    return Poly2.of(u.f, slope)
+    return Poly2.of(u.f, (u.g - u.f).divide_exact(_check_embedding(h, u.space)))
 
 
 def restrict_to_branches(F: Poly2, h: Poly | None, space: SpaceSpec) -> GluedFunction:
@@ -118,10 +119,7 @@ def restrict_to_branches(F: Poly2, h: Poly | None, space: SpaceSpec) -> GluedFun
     The result always satisfies the jet condition: the difference of the two
     restrictions is a multiple of h, hence of x**(m+1).
     """
-    if h is None:
-        h = canonical_embedding(space)
-    _check_embedding(h, space)
-    return make_glued(F.at_y_zero(), F.substitute_y(h), space)
+    return make_glued(F.at_y_zero(), F.substitute_y(_check_embedding(h, space)), space)
 
 
 def random_poly(rng: random.Random, max_degree: int = 4) -> Poly:

@@ -27,7 +27,7 @@ SINGULAR = "sing"
 class Character(NamedTuple):
     """Evaluation character: a point of the glued space.
 
-    branch is 1, 2 or "sing"; base_point is 0 exactly when singular.
+    branch is the int 1 or 2, or "sing"; base_point is 0 exactly when singular.
     Construct through :func:`make_character`, which canonicalizes the two
     branch origins to the singular point."""
 
@@ -42,15 +42,11 @@ class Character(NamedTuple):
 
 def make_character(branch, base_point) -> Character:
     t = frac(base_point)
-    if branch == SINGULAR:
-        if t != 0:
-            raise ValueError("the singular character sits at base point 0")
-        return Character(SINGULAR, Fraction(0))
-    if branch not in (1, 2):
+    if branch != SINGULAR and (type(branch) is not int or branch not in (1, 2)):
         raise ValueError("branch must be 1, 2 or 'sing'")
-    if t == 0:
-        return Character(SINGULAR, Fraction(0))
-    return Character(branch, t)
+    if branch == SINGULAR and t:
+        raise ValueError("the singular character sits at base point 0")
+    return Character(branch, t) if t else Character(SINGULAR, Fraction(0))
 
 
 def char_eval(c: Character, u: GluedFunction) -> Fraction:

@@ -221,6 +221,12 @@ class TestPolyExpressions:
         assert err.value.line == 4
         assert err.value.column == 5
 
+    def test_variable_expected_after_star(self):
+        assert _outcome(dsl.parse_poly, "2*3") == (
+            DSLSyntaxError, "expected a variable after '*' at line 1, column 3", 1, 3)
+        assert _outcome(dsl.parse_poly, "x*") == (
+            DSLSyntaxError, "expected a variable after '*' at line 1", 1, None)
+
     def test_exponent_bounded_by_degree_cap(self):
         cap = get_degree_cap()
         with pytest.raises(DSLSyntaxError) as err:

@@ -80,6 +80,14 @@ class TestArithmetic:
         with pytest.raises(SpaceMismatch):
             make_glued(X, X, K0) * make_glued(X, X, K1)
 
+    def test_sub(self):
+        u = make_glued(Poly.of(1, 2), Poly.of(1, 3), K0)
+        v = make_glued(X, Poly.monomial(2), K0)
+        assert u - v == make_glued(Poly.of(1, 1), Poly.of(1, 3, -1), K0)
+        assert (u - u).f.is_zero and (u - u).g.is_zero
+        with pytest.raises(SpaceMismatch, match="spaces differ: K0 vs K1"):
+            u - make_glued(X, X, K1)
+
     def test_membership_preserved(self):
         rng = random.Random(11)
         for _ in range(200):

@@ -359,6 +359,11 @@ class TestRepresentation:
         assert BranchOp.of() == BranchOp.of(ZERO, ZERO) == D - D == BranchOp((), 1)
         assert repr(BranchOp.of()) == "BranchOp(coeffs=())"
 
+    def test_str_is_the_dsl_block(self):
+        op = BranchOp.of(Poly.of(1), Poly.of(0, Fraction(1, 2)))
+        assert str(op) == "op order=1\ncoeff 1: 1/2*x\ncoeff 0: 1"
+        assert str(BranchOp.of()) == "op order=0"
+
 
 class TestDeltaChains:
     # delta_a is the commutator with multiplication by a, an order-0 operator.

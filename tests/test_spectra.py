@@ -44,6 +44,44 @@ class TestCharEval:
         with pytest.raises(ValueError, match="branch must be 1, 2 or 'sing'"):
             make_character(3, 1)
 
+    @pytest.mark.parametrize("branch", [True, False, 1.0, 2.0, Fraction(1), "1"])
+    def test_branch_must_be_the_int_1_or_2(self, branch):
+        # The printer writes the branch as given, so anything else would not
+        # read back as 'char branch=<1|2|sing> at=<rational>'.
+        with pytest.raises(ValueError, match="branch must be 1, 2 or 'sing'"):
+            make_character(branch, 1)
+
+
+# make_character over every branch and base point: (branch, base_point) of
+# the result, or the ValueError's text.
+MISPLACED = "the singular character sits at base point 0"
+UNKNOWN = "branch must be 1, 2 or 'sing'"
+CHARACTER_TABLE = {
+    (1, 0): (SINGULAR, 0), (1, "1/2"): (1, Fraction(1, 2)), (1, -1): (1, -1),
+    (2, 0): (SINGULAR, 0), (2, "1/2"): (2, Fraction(1, 2)), (2, -1): (2, -1),
+    (SINGULAR, 0): (SINGULAR, 0), (SINGULAR, "1/2"): MISPLACED, (SINGULAR, -1): MISPLACED,
+    (3, 0): UNKNOWN, (3, "1/2"): UNKNOWN, (3, -1): UNKNOWN,
+    ("x", 0): UNKNOWN, ("x", "1/2"): UNKNOWN, ("x", -1): UNKNOWN,
+}
+
+
+@pytest.mark.parametrize("branch,base_point", list(CHARACTER_TABLE))
+def test_make_character_table(branch, base_point):
+    expected = CHARACTER_TABLE[branch, base_point]
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            make_character(branch, base_point)
+        assert str(err.value) == expected
+    else:
+        c = make_character(branch, base_point)
+        assert tuple(c) == expected
+        assert type(c.base_point) is Fraction
+
+
+def test_character_str_is_the_dsl_line():
+    assert str(make_character(2, "-3/2")) == "char branch=2 at=-3/2"
+    assert str(make_character(1, 0)) == "char branch=sing at=0"
+
 
 def is_homomorphism(fn, space, samples=100, seed=0):
     """Unitality, additivity and multiplicativity of fn on random glued pairs."""
